@@ -8,6 +8,8 @@ because floats are echoed through repr.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigError
 
 KINDS = (
@@ -137,6 +139,18 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
 }
 
 
+# load-time ranges: kind -> (section, key, test, what the test demands)
+RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
+    "picard": (
+        ("run", "T", lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+        ("run", "n_iter", lambda v: v >= 2, ">= 2"),
+        ("run", "n_slices", lambda v: v >= 2, ">= 2"),
+        ("run", "dt", lambda v: math.isfinite(v) and v >= 0, "finite and >= 0 (0 picks T/200)"),
+        ("check", "ratio_from", lambda v: v >= 1, ">= 1"),
+    ),
+}
+
+
 def _strip_comment(line: str) -> str:
     out = []
     in_str = False
@@ -213,6 +227,9 @@ def parse_config(text: str, kind: str) -> dict:
             )
         ty, _ = schema[section][key]
         cfg[section][key] = _parse_value(val, ty, key, ln)
+    for sec, key, ok, need in RANGES.get(kind, ()):
+        if not ok(cfg[sec][key]):
+            raise ConfigError(f"[{sec}] {key} must be {need}, got {cfg[sec][key]!r}")
     return cfg
 
 

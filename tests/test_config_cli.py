@@ -128,6 +128,36 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[run]\nn_slices = 1\n",
+            "[run]\nn_iter = 1\n",
+            "[run]\nT = 0.0\n",
+            "[run]\nT = -0.25\n",
+            "[run]\nT = nan\n",
+            "[run]\ndt = -0.01\n",
+            "[check]\nratio_from = 0\n",
+        ],
+    )
+    def test_picard_range_fails_at_load_time(self, tmp_path, capsys, text):
+        path = write(tmp_path, "p.cfg", text)
+        out = tmp_path / "o"
+        rc = main(["picard", "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_picard_range_edges_accepted(self):
+        cfg = parse_config(
+            "[run]\nn_slices = 2\nn_iter = 2\ndt = 0.0\n[check]\nratio_from = 1\n",
+            "picard",
+        )
+        assert (cfg["run"]["n_slices"], cfg["run"]["n_iter"]) == (2, 2)
+        assert cfg["check"]["ratio_from"] == 1
+
     def test_simulate_smoke_passes(self, tmp_path, capsys):
         path = write(tmp_path, "sim.cfg", SIM_SMOKE)
         out = str(tmp_path / "out")

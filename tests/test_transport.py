@@ -129,6 +129,40 @@ class TestSolveTransport:
         assert np.array_equal(sol.frames[0], np.sin(g.x))
         assert np.max(np.abs(sol.frames[1] - np.sin(g.x - 0.5))) < 1e-8
 
+    def test_single_output_time_matches_zero_prefixed(self):
+        # run_transport_test asks for [T] alone; t=0 is the implicit first frame
+        g = Grid1D(math.pi, 512)
+        vel = lambda t, x: np.full_like(x, math.cos(t))
+        tp = TransportProblem(g, RealField(g, np.sin(g.x)), vel, T=1.0)
+        alone = solve_transport(tp, 0.05, np.array([1.0]))
+        prefixed = solve_transport(tp, 0.05, np.array([0.0, 1.0]))
+        assert np.array_equal(alone.frames[-1], prefixed.frames[-1])
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            [0.0, 1.0, 0.5],  # unsorted
+            [0.0, 0.5, 0.5],  # repeated
+            [-0.5, 0.5],  # negative
+            [0.0, np.nan],
+            [0.0, np.inf],
+            [],
+            [[0.0, 1.0]],  # not 1-d
+        ],
+    )
+    def test_bad_output_times_rejected_before_tracing(self, out):
+        g = Grid1D(math.pi, 128)
+        calls = []
+
+        def vel(t, x):
+            calls.append(t)
+            return np.ones_like(x)
+
+        tp = TransportProblem(g, RealField(g, np.sin(g.x)), vel, T=1.0)
+        with pytest.raises(ConfigError):
+            solve_transport(tp, 0.1, np.array(out, dtype=float))
+        assert calls == []
+
     def test_validation(self):
         g = Grid1D(math.pi, 128)
         f0 = RealField(g, np.sin(g.x))
@@ -140,6 +174,38 @@ class TestSolveTransport:
             solve_transport(TransportProblem(g, f0, uniform(1.0), T=1.0), 0.0)
         with pytest.raises(ConfigError):
             solve_transport(TransportProblem(g, f0, 3.14, T=1.0), 0.1)
+
+
+class TestSliceBuildUp:
+    """Each frame starts from the previous one, so interpolation error
+    builds up with the slice count; T=1, dt=0.05 throughout."""
+
+    @staticmethod
+    def final_errors(tp, exact, counts=(2, 5, 17)):
+        return [
+            np.max(np.abs(solve_transport(tp, 0.05, np.linspace(0.0, 1.0, k)).frames[-1] - exact))
+            for k in counts
+        ]
+
+    def test_build_up_stays_small(self):
+        g = Grid1D(math.pi, 512)
+        f0 = RealField(g, np.sin(g.x))
+        const = TransportProblem(g, f0, uniform(1.0), T=1.0)
+        e_const = self.final_errors(const, np.sin(g.x - 1.0))
+        vel = lambda t, x: np.full_like(x, math.cos(t))
+        wobble = TransportProblem(g, f0, vel, T=1.0)
+        e_wobble = self.final_errors(wobble, np.sin(g.x - math.sin(1.0)))
+        g2 = Grid1D(math.pi, 1024)
+        pull = TransportProblem(g2, RealField(g2, np.cos(g2.x)), lambda t, x: np.sin(x), T=1.0)
+        foot = 2.0 * np.arctan(math.exp(-1.0) * np.tan(0.5 * g2.x))
+        e_pull = self.final_errors(pull, np.cos(foot))
+        # measured at 17 slices: 2.7e-9, 6.4e-9 and 7.6e-8
+        assert e_const[-1] <= 1e-8
+        assert e_wobble[-1] <= 1e-8
+        assert e_pull[-1] <= 2e-7
+        # one interval has nothing to build up, so it sets the floor
+        for errs in (e_const, e_wobble, e_pull):
+            assert errs[0] <= min(errs[1:])
 
 
 class TestAprioriAudit:
