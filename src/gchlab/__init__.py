@@ -1,16 +1,16 @@
 """Numerical laboratory for a peaked-wave shallow water model.
 
-Core objects: periodic FFT fields (fields), dyadic frequency analysis
-(lpaley), the three equivalent evolution forms (dynamics), transport /
-Picard machinery (transport), exact peaked travelling waves and the weak
-identity (peakon), and breakdown diagnostics (blowup).
+Core objects: periodic fields and the one FFT layer (fields), dyadic
+frequency analysis (lpaley), the three equivalent evolution forms
+(dynamics), transport / Picard machinery (transport), exact peaked
+travelling waves and the weak identity (peakon), and breakdown diagnostics
+(blowup).
 """
 
 from .errors import ConfigError, DivergedError, EstimationError
 from .fields import (
     Grid1D,
     RealField,
-    SpectralField,
     dealias,
     derivative,
     green_convolve,
@@ -19,8 +19,8 @@ from .fields import (
     random_band_limited,
     refine_field,
     sobolev_norm,
-    to_physical,
-    to_spectral,
+    spectrum,
+    synthesize,
 )
 from .lpaley import (
     DyadicPartition,

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .fields import RealField, sobolev_norm
-from .dynamics import _parabolic_refine
+from .fields import RealField, sobolev_norm, spectrum, synthesize
+from .dynamics import refined_min
 
 RICCATI_REL_STEP = 5e-3
 RICCATI_STOP = 1e8
@@ -54,12 +54,6 @@ def compute_CT(u0: RealField, T: float) -> CTReport:
     return CTReport(T, h1, h32, 4.0 * bracket, 2.0 * math.sqrt(2.0) * bracket)
 
 
-def _refined_min(grid, vals: np.ndarray) -> float:
-    i = int(np.argmin(vals))
-    v, _ = _parabolic_refine(grid.x, vals, i, grid.dx, grid.L)
-    return v
-
-
 @dataclass
 class ConditionReport:
     C_T: float
@@ -77,13 +71,11 @@ def check_condition(u0: RealField, T: float) -> ConditionReport:
     """Evaluate both sufficient breakdown conditions for initial data u0."""
     ct = compute_CT(u0, T)
     g = u0.grid
-    ch = np.fft.fft(u0.values)
-    ik = 1j * g.k.copy()
-    ik[g.n // 2] = 0.0
-    ux = np.fft.ifft(ik * ch).real
-    uxx = np.fft.ifft(-(g.k**2) * ch).real
-    w_curv = _refined_min(g, uxx)
-    w_mixed = 2.0 * _refined_min(g, uxx - 2.0 * ux)
+    ch = spectrum(u0.values)
+    ux = synthesize(g.ik * ch)
+    uxx = synthesize(-(g.k**2) * ch)
+    w_curv = refined_min(g, uxx)[0]
+    w_mixed = 2.0 * refined_min(g, uxx - 2.0 * ux)[0]
     verdict = w_curv < -ct.C_T
 
     def maybe_time(w0: float, C: float) -> float | None:

@@ -1,9 +1,9 @@
 """Key-value experiment configs: sections in brackets, one pair per line.
 
 Strings are quoted, numbers bare, booleans true/false; `#` starts a
-comment outside quotes.  Every key has a typed default, so a minimal
-config is just the values that differ.  parse -> echo -> parse is exact
-because floats are echoed through repr.
+comment outside quotes.  Floats must be finite.  Every key has a typed
+default, so a minimal config is just the values that differ.
+parse -> echo -> parse is exact because floats are echoed through repr.
 """
 
 from __future__ import annotations
@@ -139,14 +139,20 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
 }
 
 
-# load-time ranges: kind -> (section, key, test, what the test demands)
+# load-time ranges: kind -> (section, key, test(value, cfg), what it demands)
 RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
     "picard": (
-        ("run", "T", lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-        ("run", "n_iter", lambda v: v >= 2, ">= 2"),
-        ("run", "n_slices", lambda v: v >= 2, ">= 2"),
-        ("run", "dt", lambda v: math.isfinite(v) and v >= 0, "finite and >= 0 (0 picks T/200)"),
-        ("check", "ratio_from", lambda v: v >= 1, ">= 1"),
+        ("run", "T", lambda v, _: v > 0, "> 0"),
+        ("run", "n_iter", lambda v, _: v >= 2, ">= 2"),
+        ("run", "n_slices", lambda v, _: v >= 2, ">= 2"),
+        ("run", "dt", lambda v, _: v >= 0, ">= 0 (0 picks T/200)"),
+        # ratios run 1 .. n_iter - 1; a later start would check none of them
+        (
+            "check",
+            "ratio_from",
+            lambda v, cfg: 1 <= v <= cfg["run"]["n_iter"] - 1,
+            "between 1 and [run] n_iter - 1",
+        ),
     ),
 }
 
@@ -186,9 +192,12 @@ def _parse_value(raw: str, ty: str, key: str, ln: int):
             raise ConfigError(f"{where} expects an integer, got {raw!r}") from None
     if ty == "float":
         try:
-            return float(raw)
+            v = float(raw)
         except ValueError:
             raise ConfigError(f"{where} expects a number, got {raw!r}") from None
+        if not math.isfinite(v):
+            raise ConfigError(f"{where} expects a finite number, got {raw!r}")
+        return v
     raise ConfigError(f"internal: unknown type tag {ty!r}")
 
 
@@ -228,7 +237,7 @@ def parse_config(text: str, kind: str) -> dict:
         ty, _ = schema[section][key]
         cfg[section][key] = _parse_value(val, ty, key, ln)
     for sec, key, ok, need in RANGES.get(kind, ()):
-        if not ok(cfg[sec][key]):
+        if not ok(cfg[sec][key], cfg):
             raise ConfigError(f"[{sec}] {key} must be {need}, got {cfg[sec][key]!r}")
     return cfg
 

@@ -24,10 +24,16 @@ from .errors import ConfigError, DivergedError
 from .fields import (
     Grid1D,
     RealField,
+    apply_one_minus_dxx,
     check_domain_decay,
     dealias_mask,
+    derivative,
+    helmholtz_inverse,
     lp_norm,
+    power,
     sobolev_norm,
+    spectrum,
+    synthesize,
 )
 from .lpaley import besov_norm, partition_for
 
@@ -37,52 +43,59 @@ RHS_FORMS = ("spectral_form", "m_form", "u_form")
 DT_COLLAPSE = 1e-12
 
 
+def momentum_coefficients(
+    grid: Grid1D, m: np.ndarray, mh: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity and source of the momentum equation in transport form.
+
+    m_t + v m_x = S with v = 2u_x - 4u and S = 2m^2 + (8u_x - 4u)m
+    + 2(u + u_x)^2, where u = (1-dx^2)^{-1} m and mh = spectrum(m).  m may
+    be one frame or a stack of frames along the first axis.
+    """
+    u = synthesize(mh * grid.helm)
+    ux = synthesize(mh * grid.helm * grid.ik)
+    upx = u + ux
+    return 2.0 * ux - 4.0 * u, 2.0 * m * m + (8.0 * ux - 4.0 * u) * m + 2.0 * upx * upx
+
+
 class _Kernel:
     """Precomputed multipliers for one grid; all rhs forms share it."""
 
     def __init__(self, grid: Grid1D, dealias: bool = True):
         self.grid = grid
-        k = grid.k
-        self.ik = 1j * k.copy()
-        self.ik[grid.n // 2] = 0.0  # odd derivative drops the Nyquist mode
-        self.helm = 1.0 / (1.0 + k**2)
         # dx(2+dx) = 2 dx + dx^2; Nyquist keeps only the even part
-        self.edge = 2.0 * self.ik - k**2
+        self.edge = 2.0 * grid.ik - grid.k**2
         self.mask = dealias_mask(grid) if dealias else np.ones(grid.n, dtype=bool)
-        self.dealias = dealias
 
     def dx(self, ch: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(self.ik * ch).real
+        return synthesize(self.grid.ik * ch)
+
+    def dealiased(self, f: np.ndarray) -> np.ndarray:
+        fh = spectrum(f)
+        fh[~self.mask] = 0.0
+        return synthesize(fh)
 
     def rhs_spectral(self, u: np.ndarray) -> np.ndarray:
-        ch = np.fft.fft(u)
+        ch = spectrum(u)
         ux = self.dx(ch)
         w = 2.0 * u - ux
-        ph = np.fft.fft(w * w)
+        ph = spectrum(w * w)
         ph[~self.mask] = 0.0
-        return np.fft.ifft(ph * self.edge * self.helm).real
+        return synthesize(ph * self.edge * self.grid.helm)
 
     def rhs_m(self, m: np.ndarray) -> np.ndarray:
-        mh = np.fft.fft(m)
-        u = np.fft.ifft(mh * self.helm).real
-        ux = np.fft.ifft(mh * self.helm * self.ik).real
-        mx = self.dx(mh)
-        upx = u + ux
-        f = 2.0 * m * m + (8.0 * ux - 4.0 * u) * m + (4.0 * u - 2.0 * ux) * mx
-        f += 2.0 * upx * upx
-        fh = np.fft.fft(f)
-        fh[~self.mask] = 0.0
-        return np.fft.ifft(fh).real
+        mh = spectrum(m)
+        vel, src = momentum_coefficients(self.grid, m, mh)
+        return self.dealiased(src - vel * self.dx(mh))
 
     def rhs_u(self, u: np.ndarray) -> np.ndarray:
-        ch = np.fft.fft(u)
+        g = self.grid
+        ch = spectrum(u)
         ux = self.dx(ch)
         uxsq = ux * ux
-        bracket_h = np.fft.fft(2.0 * uxsq + 6.0 * u * u) * self.ik + np.fft.fft(uxsq)
-        conv = np.fft.ifft(bracket_h * self.helm).real
-        total = np.fft.fft(4.0 * u * ux - uxsq + conv)
-        total[~self.mask] = 0.0
-        return np.fft.ifft(total).real
+        bracket_h = spectrum(2.0 * uxsq + 6.0 * u * u) * g.ik + spectrum(uxsq)
+        conv = synthesize(bracket_h * g.helm)
+        return self.dealiased(4.0 * u * ux - uxsq + conv)
 
 
 _kernel_cache: dict[tuple[float, int, bool], _Kernel] = {}
@@ -105,12 +118,6 @@ def rhs_m_form(m: RealField, dealias: bool = True) -> RealField:
 
 def rhs_u_form(u: RealField, dealias: bool = True) -> RealField:
     return RealField(u.grid, _kernel(u.grid, dealias).rhs_u(u.values))
-
-
-def apply_one_minus_dxx(u: RealField) -> RealField:
-    """(1 - dx^2) u, the exact inverse of helmholtz_inverse on the grid."""
-    ch = np.fft.fft(u.values) * (1.0 + u.grid.k**2)
-    return RealField(u.grid, np.fft.ifft(ch).real)
 
 
 @dataclass
@@ -139,42 +146,39 @@ class SolverConfig:
             raise ConfigError("monitor_every must be >= 1")
 
 
-def _parabolic_refine(xs: np.ndarray, ys: np.ndarray, i: int, dx: float, L: float):
-    """Three-point parabola through a grid extremum; falls back to the node."""
-    n = len(ys)
-    ym, y0, yp = ys[(i - 1) % n], ys[i], ys[(i + 1) % n]
+def _cfl_dt(cfg: SolverConfig, *fields: RealField) -> float:
+    """CFL step for the fastest field, by the advection speed |4u - 2u_x|."""
+    speed = max(
+        float(np.max(np.abs(4.0 * f.values - 2.0 * derivative(f, 1).values)))
+        for f in fields
+    )
+    return cfg.cfl_sigma * fields[0].grid.dx / max(speed, cfg.speed_floor)
+
+
+def refined_min(grid: Grid1D, vals: np.ndarray) -> tuple[float, float]:
+    """Minimum of a sampled field and its location, refined off-grid by the
+    three-point parabola through the lowest node; falls back to the node."""
+    i = int(np.argmin(vals))
+    n = len(vals)
+    ym, y0, yp = vals[(i - 1) % n], vals[i], vals[(i + 1) % n]
     denom = ym - 2.0 * y0 + yp
     if denom == 0.0:
-        return float(ys[i]), float(xs[i])
+        return float(y0), float(grid.x[i])
     shift = 0.5 * (ym - yp) / denom
     if not -0.5 <= shift <= 0.5:
-        return float(ys[i]), float(xs[i])
+        return float(y0), float(grid.x[i])
     val = y0 - 0.125 * (ym - yp) ** 2 / denom
-    loc = xs[i] + shift * dx
-    if loc >= L:
-        loc -= 2.0 * L
-    elif loc < -L:
-        loc += 2.0 * L
+    loc = grid.x[i] + shift * grid.dx
+    if loc >= grid.L:
+        loc -= 2.0 * grid.L
+    elif loc < -grid.L:
+        loc += 2.0 * grid.L
     return float(val), float(loc)
 
 
 def min_uxx(u: RealField) -> tuple[float, float]:
     """Minimum of u_xx and its location, parabolically refined off-grid."""
-    g = u.grid
-    ch = np.fft.fft(u.values)
-    uxx = np.fft.ifft(-(g.k**2) * ch).real
-    i = int(np.argmin(uxx))
-    val, loc = _parabolic_refine(g.x, uxx, i, g.dx, g.L)
-    return val, loc
-
-
-def _refined_extrema(g: Grid1D, vals: np.ndarray) -> tuple[float, float, float]:
-    """(refined min, its location, refined sup-norm) of a sampled field."""
-    imin = int(np.argmin(vals))
-    vmin, xmin = _parabolic_refine(g.x, vals, imin, g.dx, g.L)
-    imax = int(np.argmax(vals))
-    vmax, _ = _parabolic_refine(g.x, -vals, imax, g.dx, g.L)
-    return vmin, xmin, max(abs(vmin), abs(vmax))
+    return refined_min(u.grid, derivative(u, 2).values)
 
 
 def energy(u: RealField) -> float:
@@ -190,8 +194,7 @@ def spectral_tail_fraction(u: RealField, dealias: bool = True) -> float:
     the full spectrum otherwise.
     """
     g = u.grid
-    ch = np.fft.fft(u.values)
-    dens = (1.0 + g.k**2) * np.abs(ch) ** 2
+    dens = (1.0 + g.k**2) * power(u)
     kcut = (2.0 / 3.0) * g.nyquist if dealias else g.nyquist
     retained = np.abs(g.k) <= kcut
     top = retained & (np.abs(g.k) >= (2.0 / 3.0) * kcut)
@@ -205,7 +208,7 @@ def step(u: RealField, dt: float, cfg: SolverConfig) -> RealField:
     """One RK4 step of the configured form, mapping u(t) to u(t+dt)."""
     kern = _kernel(u.grid, cfg.dealias)
     if cfg.rhs_form == "m_form":
-        state = np.fft.ifft(np.fft.fft(u.values) * (1.0 + u.grid.k**2)).real
+        state = apply_one_minus_dxx(u).values
         rhs = kern.rhs_m
     else:
         state = u.values
@@ -216,7 +219,7 @@ def step(u: RealField, dt: float, cfg: SolverConfig) -> RealField:
     k4 = rhs(state + dt * k3)
     new = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if cfg.rhs_form == "m_form":
-        new = np.fft.ifft(np.fft.fft(new) / (1.0 + u.grid.k**2)).real
+        return helmholtz_inverse(RealField(u.grid, new))
     return RealField(u.grid, new)
 
 
@@ -305,21 +308,23 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
     # e^{-L}, which is harmless; only genuine wrap-around should abort
     check_domain_decay(u0, tol=1e-6)
     g = u0.grid
-    kern = _kernel(g, cfg.dealias)
     rep = RunReport(grid=g, cfg=cfg)
 
-    ch0 = np.fft.fft(u0.values)
-    w0 = 2.0 * u0.values - np.fft.ifft(kern.ik * ch0).real
+    w0 = 2.0 * u0.values - derivative(u0, 1).values
     w0_l2_sq = float(np.sum(w0 * w0) * g.dx)
     w0_linf = float(np.max(np.abs(w0)))
     ux_cap = 54.0 * cfg.T * sobolev_norm(u0, 1.0) ** 2 + 5.0 * sobolev_norm(u0, 1.5)
 
+    uxx_sup_prev = 0.0
+
     def record(t: float, u: RealField):
-        ch = np.fft.fft(u.values)
-        ux = np.fft.ifft(kern.ik * ch).real
-        uxx = np.fft.ifft(-(g.k**2) * ch).real
+        nonlocal uxx_sup_prev
+        ch = spectrum(u.values)
+        ux = synthesize(g.ik * ch)
+        uxx = synthesize(-(g.k**2) * ch)
         w = 2.0 * u.values - ux
-        vmin, xmin, uxx_sup = _refined_extrema(g, uxx)
+        vmin, xmin = refined_min(g, uxx)
+        uxx_sup = max(abs(vmin), abs(refined_min(g, -uxx)[0]))
         rep.times.append(t)
         rep.energy.append(energy(u))
         rep.w_linf.append(float(np.max(np.abs(w))))
@@ -330,8 +335,8 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
             rep.B.append(0.0)
         else:
             dt_m = t - rep.times[-2]
-            rep.B.append(rep.B[-1] + 0.5 * dt_m * (uxx_sup + rep._last_uxx_sup))
-        rep._last_uxx_sup = uxx_sup
+            rep.B.append(rep.B[-1] + 0.5 * dt_m * (uxx_sup + uxx_sup_prev))
+        uxx_sup_prev = uxx_sup
         rep.min_uxx.append(vmin)
         rep.xi.append(xmin)
         rep.min_ux.append(float(np.min(ux)))
@@ -344,14 +349,7 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
     record(t, u)
     steps = 0
     while t < cfg.T * (1.0 - 1e-12):
-        if cfg.dt is not None:
-            dt = cfg.dt
-        else:
-            ch = np.fft.fft(u.values)
-            speed = float(
-                np.max(np.abs(4.0 * u.values - 2.0 * np.fft.ifft(kern.ik * ch).real))
-            )
-            dt = cfg.cfl_sigma * g.dx / max(speed, cfg.speed_floor)
+        dt = cfg.dt if cfg.dt is not None else _cfl_dt(cfg, u)
         if dt < DT_COLLAPSE:
             raise DivergedError(f"CFL collapse: dt={dt:.3e} at t={t:.6g}")
         dt = min(dt, cfg.T - t)
@@ -379,9 +377,7 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
 def dp_transform(u: RealField) -> RealField:
     """v = 2(2 - dx)u = 2(2u - u_x); satisfies the Degasperis-Procesi
     equation exactly when u solves this one (operator identity)."""
-    kern = _kernel(u.grid, True)
-    ux = np.fft.ifft(kern.ik * np.fft.fft(u.values)).real
-    return RealField(u.grid, 2.0 * (2.0 * u.values - ux))
+    return RealField(u.grid, 2.0 * (2.0 * u.values - derivative(u, 1).values))
 
 
 def dp_residual(times: list[float], fields: list[RealField]) -> list[float]:
@@ -393,19 +389,17 @@ def dp_residual(times: list[float], fields: list[RealField]) -> list[float]:
     if len(times) < 3:
         raise ConfigError("need at least three snapshots for a centered residual")
     g = fields[0].grid
-    k = g.k
-    ik = 1j * k.copy()
-    ik[g.n // 2] = 0.0
+    k, ik = g.k, g.ik
     vs = [dp_transform(f).values for f in fields]
     out = []
     for i in range(1, len(times) - 1):
         vt = (vs[i + 1] - vs[i - 1]) / (times[i + 1] - times[i - 1])
         v = vs[i]
-        ch = np.fft.fft(v)
-        vx = np.fft.ifft(ik * ch).real
-        vxx = np.fft.ifft(-(k**2) * ch).real
-        vxxx = np.fft.ifft(-(k**2) * ik * ch).real
-        lhs = np.fft.ifft(np.fft.fft(vt) * (1.0 + k**2)).real
+        ch = spectrum(v)
+        vx = synthesize(ik * ch)
+        vxx = synthesize(-(k**2) * ch)
+        vxxx = synthesize(-(k**2) * ik * ch)
+        lhs = apply_one_minus_dxx(RealField(g, vt)).values
         rhs = 4.0 * v * vx - 3.0 * vx * vxx - v * vxxx
         out.append(lp_norm(RealField(g, lhs - rhs), 2.0))
     return out
@@ -431,13 +425,7 @@ def stability_experiment(
     if d0 == 0.0:
         return StabilityReport([0.0], [0.0], None, True)
     if cfg.dt is None:
-        kern = _kernel(u0.grid, cfg.dealias)
-        speeds = []
-        for f in (u0, v0):
-            ux = np.fft.ifft(kern.ik * np.fft.fft(f.values)).real
-            speeds.append(float(np.max(np.abs(4.0 * f.values - 2.0 * ux))))
-        dt = cfg.cfl_sigma * u0.grid.dx / max(max(speeds), cfg.speed_floor)
-        n = max(1, math.ceil(cfg.T / dt))
+        n = max(1, math.ceil(cfg.T / _cfl_dt(cfg, u0, v0)))
         cfg = SolverConfig(
             T=cfg.T,
             rhs_form=cfg.rhs_form,

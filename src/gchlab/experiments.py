@@ -20,7 +20,14 @@ from . import blowup as bl
 from . import dynamics as dyn
 from .config import canonical_echo
 from .errors import ConfigError, EstimationError
-from .fields import Grid1D, RealField, helmholtz_inverse, lp_norm, random_band_limited
+from .fields import (
+    Grid1D,
+    RealField,
+    apply_one_minus_dxx,
+    helmholtz_inverse,
+    lp_norm,
+    random_band_limited,
+)
 from .lpaley import AUDIT_IDS, inequality_audit
 from .peakon import PeakonSolution, TestFunction, peakon_field, refinement_study
 from .svgplot import LineChart
@@ -102,7 +109,7 @@ def _series_plot(rep: dyn.RunReport, timestamp: bool) -> str:
     return chart.render(timestamp)
 
 
-def _solver_cfg(rcfg: dict, store_snapshots: bool = False) -> dyn.SolverConfig:
+def _solver_cfg(rcfg: dict) -> dyn.SolverConfig:
     return dyn.SolverConfig(
         T=rcfg["T"],
         rhs_form=rcfg.get("rhs_form", "spectral_form"),
@@ -111,7 +118,6 @@ def _solver_cfg(rcfg: dict, store_snapshots: bool = False) -> dyn.SolverConfig:
         cfl_sigma=rcfg.get("cfl_sigma", 0.3),
         monitor_every=rcfg["monitor_every"],
         tail_threshold=rcfg.get("tail_threshold", 1e-3),
-        store_snapshots=store_snapshots,
     )
 
 
@@ -327,7 +333,7 @@ def run_picard(cfg: dict, outdir: str, seed: int | None, threads: int) -> int:
         u0,
         dyn.SolverConfig(T=rcfg["T"], rhs_form="m_form", monitor_every=1000000),
     )
-    m_direct = dyn.apply_one_minus_dxx(direct.final)
+    m_direct = apply_one_minus_dxx(direct.final)
     m_last = pr.iterates[-1].frames[-1]
     direct_gap = lp_norm(RealField(grid, m_last - m_direct.values), 2.0)
 

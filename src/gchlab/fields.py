@@ -1,15 +1,19 @@
-"""Periodic grid, FFT transforms and the elliptic helpers built on them.
+"""Periodic grid, the transform layer, and the elliptic helpers built on it.
 
 Everything lives on a uniform grid over [-L, L) with N a power of two.
-Wavenumbers are k_j = pi j / L in FFT layout, so spectral coefficients are
-index-aligned with `grid.k`.  Physical-space integrals are Riemann sums with
-weight dx; by Parseval that matches the coefficient-space sums used for the
-Sobolev norms.
+This is the only module that calls numpy.fft: `spectrum` and `synthesize`
+map grid values to Fourier coefficients and back, `power` gives the
+per-mode Parseval weights, and `Grid1D` caches the symbols (`k`, `ik`,
+`helm`) that are index-aligned with the coefficients.  Other modules
+multiply by those symbols and never see the coefficient layout.
+Physical-space integrals are Riemann sums with weight dx; by Parseval that
+matches the coefficient-space sums used for the Sobolev norms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +55,23 @@ class Grid1D:
     def nyquist(self) -> float:
         return np.pi * (self.n // 2) / self.L
 
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """Symbol of d/dx.  The Nyquist mode is zeroed: the Nyquist
+        coefficient of a real field is real, and an odd power of ik would
+        make it imaginary, i.e. leak a non-representable mode."""
+        ik = 1j * self.k
+        ik[self.n // 2] = 0.0
+        ik.flags.writeable = False
+        return ik
+
+    @cached_property
+    def helm(self) -> np.ndarray:
+        """Symbol of (1 - dx^2)^{-1}: 1 / (1 + k^2)."""
+        helm = 1.0 / (1.0 + self.k**2)
+        helm.flags.writeable = False
+        return helm
+
 
 @dataclass
 class RealField:
@@ -68,40 +89,42 @@ class RealField:
         return RealField(self.grid, self.values.copy())
 
 
-@dataclass
-class SpectralField:
-    grid: Grid1D
-    coeffs: np.ndarray
+def spectrum(values: np.ndarray) -> np.ndarray:
+    """Fourier coefficients of grid values, index-aligned with grid.k.
+
+    Transforms along the last axis, so a stack of frames works too.
+    """
+    return np.fft.fft(values)
 
 
-def to_spectral(f: RealField) -> SpectralField:
-    return SpectralField(f.grid, np.fft.fft(f.values))
+def synthesize(coeffs: np.ndarray) -> np.ndarray:
+    """Real grid values of a coefficient array; inverts `spectrum`."""
+    return np.fft.ifft(coeffs).real
 
 
-def to_physical(fh: SpectralField) -> RealField:
-    return RealField(fh.grid, np.fft.ifft(fh.coeffs).real)
+def power(f: RealField) -> np.ndarray:
+    """Per-mode |f^_k|^2 dx/n, whose sum is the Riemann sum of f^2 (Parseval)."""
+    g = f.grid
+    return np.abs(spectrum(f.values)) ** 2 * (g.dx / g.n)
 
 
 def derivative(f: RealField, order: int = 1) -> RealField:
-    """Spectral d^order/dx^order. Odd orders zero the Nyquist mode.
-
-    The Nyquist coefficient of a real field is real; multiplying by an odd
-    power of ik would make it imaginary, i.e. leak a non-representable mode.
-    """
+    """Spectral d^order/dx^order. Odd orders zero the Nyquist mode (see Grid1D.ik)."""
     if order < 1:
         raise ConfigError(f"derivative order must be a positive integer, got {order}")
     g = f.grid
-    ch = np.fft.fft(f.values) * (1j * g.k) ** order
-    if order % 2 == 1:
-        ch[g.n // 2] = 0.0
-    return RealField(g, np.fft.ifft(ch).real)
+    sym = g.ik if order % 2 == 1 else 1j * g.k
+    return RealField(g, synthesize(spectrum(f.values) * sym**order))
 
 
 def helmholtz_inverse(f: RealField) -> RealField:
-    """(1 - dx^2)^{-1} f via division by 1 + k^2."""
-    g = f.grid
-    ch = np.fft.fft(f.values) / (1.0 + g.k**2)
-    return RealField(g, np.fft.ifft(ch).real)
+    """(1 - dx^2)^{-1} f via the symbol 1 / (1 + k^2)."""
+    return RealField(f.grid, synthesize(spectrum(f.values) * f.grid.helm))
+
+
+def apply_one_minus_dxx(u: RealField) -> RealField:
+    """(1 - dx^2) u, the exact inverse of helmholtz_inverse on the grid."""
+    return RealField(u.grid, synthesize(spectrum(u.values) * (1.0 + u.grid.k**2)))
 
 
 def periodized_kernel(grid: Grid1D) -> np.ndarray:
@@ -164,9 +187,7 @@ def sobolev_norm(f: RealField, s: float) -> float:
     """
     if s == 0:
         return lp_norm(f, 2.0)
-    g = f.grid
-    ch = np.fft.fft(f.values)
-    total = np.sum((1.0 + g.k**2) ** s * np.abs(ch) ** 2) * g.dx / g.n
+    total = np.sum((1.0 + f.grid.k**2) ** s * power(f))
     return float(np.sqrt(total))
 
 
@@ -192,9 +213,9 @@ def dealias_mask(grid: Grid1D) -> np.ndarray:
 
 
 def dealias(f: RealField) -> RealField:
-    ch = np.fft.fft(f.values)
+    ch = spectrum(f.values)
     ch[~dealias_mask(f.grid)] = 0.0
-    return RealField(f.grid, np.fft.ifft(ch).real)
+    return RealField(f.grid, synthesize(ch))
 
 
 def refine_field(f: RealField, factor: int = 2) -> RealField:
@@ -205,7 +226,7 @@ def refine_field(f: RealField, factor: int = 2) -> RealField:
         return f.copy()
     g = f.grid
     fine = Grid1D(g.L, g.n * factor)
-    ch = np.fft.fft(f.values)
+    ch = spectrum(f.values)
     out = np.zeros(fine.n, dtype=complex)
     half = g.n // 2
     out[:half] = ch[:half]
@@ -213,7 +234,7 @@ def refine_field(f: RealField, factor: int = 2) -> RealField:
     # split the Nyquist coefficient across +-k_nyq to keep the field real
     out[half] = 0.5 * ch[half]
     out[fine.n - half] += 0.5 * ch[half]
-    return RealField(fine, np.fft.ifft(out).real * factor)
+    return RealField(fine, synthesize(out) * factor)
 
 
 def random_band_limited(
@@ -236,7 +257,7 @@ def random_band_limited(
     ch[mask] = rng.standard_normal(nm) + 1j * rng.standard_normal(nm)
     ch *= (1.0 + g.k**2) ** (-decay / 2.0)
     ch[g.n // 2] = 0.0
-    vals = np.fft.ifft(ch).real
+    vals = synthesize(ch)
     m = np.max(np.abs(vals))
     if m > 0:
         vals *= amplitude / m

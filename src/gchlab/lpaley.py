@@ -19,7 +19,16 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .fields import Grid1D, RealField, lp_norm, refine_field
+from .fields import (
+    Grid1D,
+    RealField,
+    derivative,
+    lp_norm,
+    power,
+    refine_field,
+    spectrum,
+    synthesize,
+)
 
 _GL_NODES = 200
 _gl_z, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
@@ -118,8 +127,7 @@ def dyadic_block(f: RealField, j: int, part: DyadicPartition | None = None) -> R
     part = part or partition_for(f.grid)
     if j < -1 or j > part.j_max:
         return RealField(f.grid, np.zeros(f.grid.n))
-    ch = np.fft.fft(f.values) * part.mult(j)
-    return RealField(f.grid, np.fft.ifft(ch).real)
+    return RealField(f.grid, synthesize(spectrum(f.values) * part.mult(j)))
 
 
 def low_cutoff(f: RealField, j: int, part: DyadicPartition | None = None) -> RealField:
@@ -129,8 +137,7 @@ def low_cutoff(f: RealField, j: int, part: DyadicPartition | None = None) -> Rea
     part = part or partition_for(f.grid)
     top = min(j - 1, part.j_max)
     m = part.multipliers[: top + 2].sum(axis=0)
-    ch = np.fft.fft(f.values) * m
-    return RealField(f.grid, np.fft.ifft(ch).real)
+    return RealField(f.grid, synthesize(spectrum(f.values) * m))
 
 
 def _validate_params(s: float, p: float, r: float) -> None:
@@ -148,17 +155,16 @@ def besov_norm(
     """(sum_j 2^{jsr} ||Delta_j f||_p^r)^{1/r}, sup over j when r = inf."""
     _validate_params(s, p, r)
     part = part or partition_for(f.grid)
-    g = f.grid
-    ch = np.fft.fft(f.values)
     block_norms = np.empty(part.j_max + 2)
     if p == 2.0:
         # Parseval per block, no inverse transforms needed
-        w = np.abs(ch) ** 2 * (g.dx / g.n)
+        w = power(f)
         for j in part.blocks:
             block_norms[j + 1] = math.sqrt(float(np.sum(part.mult(j) ** 2 * w)))
     else:
+        ch = spectrum(f.values)
         for j in part.blocks:
-            blk = RealField(g, np.fft.ifft(ch * part.mult(j)).real)
+            blk = RealField(f.grid, synthesize(ch * part.mult(j)))
             block_norms[j + 1] = lp_norm(blk, p)
     weights = 2.0 ** (s * np.arange(-1, part.j_max + 1))
     terms = weights * block_norms
@@ -188,8 +194,8 @@ def reconstruct(blocks, part: DyadicPartition | None = None) -> RealField:
 
 def _lam(f: RealField, s: float) -> RealField:
     """(1 - dx^2)^{s/2} as a Fourier multiplier."""
-    ch = np.fft.fft(f.values) * (1.0 + f.grid.k**2) ** (s / 2.0)
-    return RealField(f.grid, np.fft.ifft(ch).real)
+    ch = spectrum(f.values) * (1.0 + f.grid.k**2) ** (s / 2.0)
+    return RealField(f.grid, synthesize(ch))
 
 
 @dataclass
@@ -262,9 +268,8 @@ def _audit_ratios(corpus: list[RealField], which: str, params: dict) -> list[flo
                 f.grid, _lam(prod, s).values - f.values * _lam(gfld, s).values
             )
             lhs = lp_norm(comm, 2.0)
-            dfx = np.fft.ifft(np.fft.fft(f.values) * 1j * f.grid.k).real
-            rhs = lp_norm(_lam(f, s), 2.0) * lp_norm(gfld, np.inf) + float(
-                np.max(np.abs(dfx))
+            rhs = lp_norm(_lam(f, s), 2.0) * lp_norm(gfld, np.inf) + lp_norm(
+                derivative(f, 1), np.inf
             ) * lp_norm(_lam(gfld, s - 1.0), 2.0)
         else:
             raise ConfigError(f"unknown audit id {which!r}; known: {AUDIT_IDS}")

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fields import Grid1D, RealField
-from .transport import cubic_interp_periodic
+from .fields import Grid1D, RealField, derivative
+from .transport import TimeSlices
 
 BUMP_EDGE_TOL = 1e-12
 
@@ -112,43 +112,20 @@ class PeakonSolution:
 class SnapshotProvider:
     """Residual provider backed by stored simulation frames.
 
-    Cubic in x, linear in t; w is assembled from spectrally precomputed
-    slope frames so the two fields stay consistent.
+    Cubic in x, linear in t (two TimeSlices); w is assembled from
+    spectrally precomputed slope frames so the two fields stay consistent.
     """
 
     def __init__(self, grid: Grid1D, times, frames):
-        times = np.asarray(times, dtype=float)
-        frames = np.asarray(frames, dtype=float)
-        if frames.shape != (len(times), grid.n):
-            raise ConfigError("frames do not match grid/times")
         if len(times) < 2:
             raise ConfigError("need at least two frames")
         self.grid = grid
-        self.times = times
-        self.frames = frames
-        ik = 1j * grid.k.copy()
-        ik[grid.n // 2] = 0.0
-        self.slope_frames = np.array(
-            [np.fft.ifft(ik * np.fft.fft(f)).real for f in frames]
-        )
-
-    def _blend(self, stack: np.ndarray, t: float) -> np.ndarray:
-        ts = self.times
-        if t <= ts[0]:
-            return stack[0]
-        if t >= ts[-1]:
-            return stack[-1]
-        j = int(np.searchsorted(ts, t, side="right")) - 1
-        th = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return (1.0 - th) * stack[j] + th * stack[j + 1]
-
-    def u(self, t: float, x: np.ndarray) -> np.ndarray:
-        return cubic_interp_periodic(self._blend(self.frames, t), self.grid, x)
+        self.u = TimeSlices(grid, times, frames)
+        slopes = [derivative(RealField(grid, f), 1).values for f in self.u.frames]
+        self.slope = TimeSlices(grid, times, slopes)
 
     def w(self, t: float, x: np.ndarray) -> np.ndarray:
-        uv = cubic_interp_periodic(self._blend(self.frames, t), self.grid, x)
-        sv = cubic_interp_periodic(self._blend(self.slope_frames, t), self.grid, x)
-        return 2.0 * uv - sv
+        return 2.0 * self.u(t, x) - self.slope(t, x)
 
     def crest(self, t: float):
         return None

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import momentum_coefficients
 from .errors import ConfigError, EstimationError
-from .fields import Grid1D, RealField, sobolev_norm
+from .fields import Grid1D, RealField, spectrum
 from .lpaley import besov_norm, low_cutoff, partition_for
 
 
@@ -288,9 +289,9 @@ def picard_run(
 ) -> PicardReport:
     """Run the frozen-coefficient iteration on the momentum datum m0.
 
-    Iterate n+1 transports the mollified datum S_{n+1} m0 with velocity
-    2 u_x - 4 u and source 2m^2 + (8u_x - 4u)m + 2(u + u_x)^2 evaluated on
-    iterate n (with u = (1-dx^2)^{-1} m).  Iterate 0 is m0 held constant in
+    Iterate n+1 transports the mollified datum S_{n+1} m0 with the velocity
+    and source of the momentum transport form (`momentum_coefficients`)
+    evaluated on iterate n.  Iterate 0 is m0 held constant in
     time; the low-pass cutoffs S_j saturate to the identity once j clears
     the grid's top dyadic block.
     """
@@ -298,37 +299,20 @@ def picard_run(
         raise ConfigError("need at least two iterations to measure a distance")
     g = m0.grid
     part = partition_for(g)
-    k = g.k
-    ik = 1j * k.copy()
-    ik[g.n // 2] = 0.0
-    helm = 1.0 / (1.0 + k**2)
     if dt is None:
         dt = T / 200.0
     times = np.linspace(0.0, T, n_slices)
 
-    m0v = m0.values
-    m0f = m0
-    m0_norm = besov_norm(m0f, s - 1.0, 2.0, 2.0, part)
-
-    def coefficients(mframes: np.ndarray) -> tuple[TimeSlices, TimeSlices]:
-        vels = np.empty_like(mframes)
-        srcs = np.empty_like(mframes)
-        for i, mv in enumerate(mframes):
-            mh = np.fft.fft(mv)
-            u = np.fft.ifft(mh * helm).real
-            ux = np.fft.ifft(mh * helm * ik).real
-            vels[i] = 2.0 * ux - 4.0 * u
-            upx = u + ux
-            srcs[i] = 2.0 * mv * mv + (8.0 * ux - 4.0 * u) * mv + 2.0 * upx * upx
-        return TimeSlices(g, times, vels), TimeSlices(g, times, srcs)
-
-    prev = TimeSlices(g, times, np.tile(m0v, (len(times), 1)))
+    m0_norm = besov_norm(m0, s - 1.0, 2.0, 2.0, part)
+    prev = TimeSlices(g, times, np.tile(m0.values, (len(times), 1)))
     d: list[float] = []
     sups: list[float] = [m0_norm]
     kept: list[TimeSlices] = [prev] if keep_iterates else []
     for it in range(1, n_iter + 1):
-        vel, src = coefficients(prev.frames)
-        tp = TransportProblem(g, low_cutoff(m0f, it, part), vel, src, T)
+        vel, src = momentum_coefficients(g, prev.frames, spectrum(prev.frames))
+        tp = TransportProblem(
+            g, low_cutoff(m0, it, part), TimeSlices(g, times, vel), TimeSlices(g, times, src), T
+        )
         cur = solve_transport(tp, dt, times)
         dist = max(
             besov_norm(RealField(g, cur.frames[i] - prev.frames[i]), s - 1.0, 2.0, 2.0, part)

@@ -41,7 +41,7 @@ from gchlab import (
     riccati_solve,
 )
 from gchlab.cli import main
-from gchlab.dynamics import apply_one_minus_dxx
+from gchlab.fields import apply_one_minus_dxx
 
 # every evolve() performed by the fixtures lands here for criterion 6
 RUN_POOL = []

@@ -138,6 +138,9 @@ class TestCli:
             "[run]\nT = nan\n",
             "[run]\ndt = -0.01\n",
             "[check]\nratio_from = 0\n",
+            # ratios run 1 .. n_iter - 1, so this would check none of them
+            "[run]\nn_iter = 6\n[check]\nratio_from = 9\n",
+            "[run]\nn_iter = 6\n[check]\nratio_from = 6\n",
         ],
     )
     def test_picard_range_fails_at_load_time(self, tmp_path, capsys, text):
@@ -147,6 +150,25 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[data]\namplitude = nan\n",  # used to crash in the plot axis ticks
+            "[run]\nT = inf\n",  # used to PASS after an early resolution stop
+            "[run]\ncfl_sigma = -inf\n",
+        ],
+    )
+    def test_non_finite_float_fails_at_load_time(self, tmp_path, capsys, text):
+        path = write(tmp_path, "s.cfg", "[grid]\nn = 256\n" + text)
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "finite" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -27,11 +27,12 @@ from gchlab import (
 )
 from gchlab.dynamics import (
     RunReport,
-    apply_one_minus_dxx,
     dp_residual,
     dp_transform,
+    momentum_coefficients,
     spectral_tail_fraction,
 )
+from gchlab.fields import apply_one_minus_dxx, spectrum
 
 
 def gaussian(grid, A=0.8, width=2.0):
@@ -60,6 +61,18 @@ class TestRhsForms:
                 gap = lp_norm(RealField(g, a.values - other.values), 2.0)
                 worst = max(worst, gap / scale)
         assert worst < 1e-10
+
+    def test_momentum_coefficients_stack_matches_frame_by_frame(self):
+        # the Picard ladder transforms all its frames at once; one frame at
+        # a time is the reference, equal to float64 round-off
+        g = Grid1D(20.0, 1024)
+        rng = np.random.default_rng(67)
+        stack = np.array([random_band_limited(g, rng).values for _ in range(5)])
+        vel, src = momentum_coefficients(g, stack, spectrum(stack))
+        for i, m in enumerate(stack):
+            v1, s1 = momentum_coefficients(g, m, spectrum(m))
+            assert np.max(np.abs(vel[i] - v1)) <= 1e-14 * np.max(np.abs(v1))
+            assert np.max(np.abs(src[i] - s1)) <= 1e-14 * np.max(np.abs(s1))
 
     def test_m_form_step_matches_spectral_step(self):
         # the state map u -> m is linear, so RK4 commutes with it exactly

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gchlab import (
     ConfigError,
@@ -23,10 +25,15 @@ from gchlab import (
     random_band_limited,
     refine_field,
     sobolev_norm,
-    to_physical,
-    to_spectral,
+    spectrum,
+    synthesize,
 )
-from gchlab.fields import check_domain_decay, dealias_mask, periodized_kernel
+from gchlab.fields import (
+    apply_one_minus_dxx,
+    check_domain_decay,
+    dealias_mask,
+    periodized_kernel,
+)
 
 # int_0^inf (1+k^2)^{-1/2}/(4+k^2) dk, full line, via adaptive quadrature
 PEAKON_H32_LINE = 0.3478689750055727
@@ -60,23 +67,21 @@ class TestGrid:
 
 class TestTransforms:
     def test_naive_dft_oracle(self):
-        g = Grid1D(10.0, 64)
+        n = 64
         rng = np.random.default_rng(3)
-        vals = rng.standard_normal(64)
-        F = to_spectral(RealField(g, vals))
-        n = g.n
+        vals = rng.standard_normal(n)
+        F = spectrum(vals)
         oracle = np.array(
             [sum(vals[j] * np.exp(-2j * np.pi * j * k / n) for j in range(n))
              for k in range(n)]
         )
-        assert np.max(np.abs(F.coeffs - oracle)) < 1e-10
+        assert np.max(np.abs(F - oracle)) < 1e-10
 
     def test_round_trip(self):
-        g = grid40(128)
         rng = np.random.default_rng(5)
-        f = RealField(g, rng.standard_normal(128))
-        back = to_physical(to_spectral(f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-13
+        vals = rng.standard_normal(128)
+        back = synthesize(spectrum(vals))
+        assert np.max(np.abs(back - vals)) < 1e-13
 
     def test_derivative_single_mode_exact(self):
         g = grid40(256)
@@ -107,6 +112,38 @@ class TestTransforms:
             derivative(f, 0)
         with pytest.raises(ConfigError):
             derivative(f, -1)
+
+
+# deterministic and small, so the property tests stay in the fast suite
+LAYER = settings(derandomize=True, max_examples=20, deadline=None)
+GRIDS = st.builds(
+    Grid1D, st.sampled_from([math.pi, 10.0, 40.0]), st.sampled_from([16, 64, 256, 1024])
+)
+
+
+class TestLayerProperties:
+    @LAYER
+    @given(data=st.data(), n=st.sampled_from([16, 64, 256, 1024]))
+    def test_synthesize_inverts_spectrum(self, data, n):
+        v = data.draw(
+            arrays(np.float64, n, elements=st.floats(-1e6, 1e6, allow_subnormal=False))
+        )
+        back = synthesize(spectrum(v))
+        assert np.max(np.abs(back - v)) <= 1e-13 * max(1.0, np.max(np.abs(v)))
+
+    @LAYER
+    @given(grid=GRIDS, seed=st.integers(0, 2**32 - 1), frac=st.floats(0.05, 1.0))
+    def test_helmholtz_inverse_undoes_operator(self, grid, seed, frac):
+        f = random_band_limited(grid, np.random.default_rng(seed), frac=frac)
+        back = helmholtz_inverse(apply_one_minus_dxx(f))
+        assert np.max(np.abs(back.values - f.values)) <= 1e-12
+
+    @LAYER
+    @given(grid=GRIDS, a=st.floats(-1e3, 1e3), order=st.sampled_from([1, 3]))
+    def test_odd_derivative_of_nyquist_mode_is_zero(self, grid, a, order):
+        assert grid.ik[grid.n // 2] == 0.0
+        f = RealField(grid, a * (-1.0) ** np.arange(grid.n))
+        assert np.max(np.abs(derivative(f, order).values)) <= 1e-12 * abs(a)
 
 
 class TestHelmholtz:

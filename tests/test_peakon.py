@@ -222,3 +222,5 @@ class TestSnapshotProvider:
             SnapshotProvider(g, [0.0, 1.0], np.zeros((2, 65)))
         with pytest.raises(ConfigError):
             SnapshotProvider(g, [0.0], np.zeros((1, 64)))
+        with pytest.raises(ConfigError):
+            SnapshotProvider(g, [0.0, 0.5, 0.5], np.zeros((3, 64)))
