@@ -1,8 +1,10 @@
 """Key-value experiment configs: sections in brackets, one pair per line.
 
 Strings are quoted, numbers bare, booleans true/false; `#` starts a
-comment outside quotes.  Floats must be finite.  Every key has a typed
-default, so a minimal config is just the values that differ.
+comment outside quotes.  Floats must be finite, and the values in RANGES
+must lie in their ranges, so a bad value fails here, before any work.
+Every key has a typed default, so a minimal config is just the values that
+differ.
 parse -> echo -> parse is exact because floats are echoed through repr.
 """
 
@@ -10,7 +12,9 @@ from __future__ import annotations
 
 import math
 
+from .dynamics import RHS_FORMS
 from .errors import ConfigError
+from .lpaley import AUDIT_IDS
 
 KINDS = (
     "simulate",
@@ -139,13 +143,74 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
 }
 
 
+# [data] kinds a runner can build
+DATA_KINDS = ("zero", "gaussian", "peakon", "random")
+
+
+def _tokens(raw: str) -> list[str]:
+    return [tok.strip() for tok in raw.split(",") if tok.strip()]
+
+
+def sweep_amplitudes(raw: str) -> list[float]:
+    """Sorted amplitudes of a blowup-study [sweep] list; none when blank."""
+    return sorted(float(tok) for tok in _tokens(raw))
+
+
+def audit_ids(which: str) -> tuple[str, ...]:
+    """The audits a besov-audit [audits] which names: "all" or a list."""
+    return AUDIT_IDS if which == "all" else tuple(_tokens(which))
+
+
+def _finite_amplitudes(raw: str) -> bool:
+    try:
+        return all(map(math.isfinite, sweep_amplitudes(raw)))
+    except ValueError:
+        return False
+
+
+_GRID = (
+    ("grid", "L", lambda v, _: v > 0, "> 0"),
+    ("grid", "n", lambda v, _: v >= 16 and v & (v - 1) == 0, "a power of two >= 16"),
+)
+_T = ("run", "T", lambda v, _: v > 0, "> 0")
+_DT = ("run", "dt", lambda v, _: v >= 0, ">= 0 (0 picks the default step)")
+_WIDTH = ("data", "width", lambda v, _: v > 0, "> 0")
+_EVOLVE = _GRID + (
+    _T,
+    ("run", "cfl_sigma", lambda v, _: 0 < v <= 1, "in (0, 1]"),
+    ("run", "monitor_every", lambda v, _: v >= 1, ">= 1"),
+)
+
 # load-time ranges: kind -> (section, key, test(value, cfg), what it demands)
 RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
-    "picard": (
-        ("run", "T", lambda v, _: v > 0, "> 0"),
+    "simulate": _EVOLVE
+    + (
+        _DT,
+        ("run", "rhs_form", lambda v, _: v in RHS_FORMS, f"one of {RHS_FORMS}"),
+        ("data", "kind", lambda v, _: v in DATA_KINDS, f"one of {DATA_KINDS}"),
+        _WIDTH,
+    ),
+    "peakon-verify": _EVOLVE
+    + (
+        ("wave", "speed", lambda v, _: v > 0, "> 0"),
+        ("residual", "levels", lambda v, _: v >= 2, ">= 2 (an order fit needs two)"),
+    ),
+    "blowup-study": _EVOLVE
+    + (
+        _WIDTH,
+        (
+            "sweep",
+            "amplitudes",
+            lambda v, _: _finite_amplitudes(v),
+            "a comma-separated list of finite numbers",
+        ),
+    ),
+    "picard": _GRID
+    + (
+        _T,
         ("run", "n_iter", lambda v, _: v >= 2, ">= 2"),
         ("run", "n_slices", lambda v, _: v >= 2, ">= 2"),
-        ("run", "dt", lambda v, _: v >= 0, ">= 0 (0 picks T/200)"),
+        _DT,
         # ratios run 1 .. n_iter - 1; a later start would check none of them
         (
             "check",
@@ -153,7 +218,27 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
             lambda v, cfg: 1 <= v <= cfg["run"]["n_iter"] - 1,
             "between 1 and [run] n_iter - 1",
         ),
+        # picard's [data] has no speed to build a peakon from
+        (
+            "data",
+            "kind",
+            lambda v, _: v in DATA_KINDS and v != "peakon",
+            "one of zero, gaussian, random",
+        ),
+        _WIDTH,
     ),
+    "besov-audit": _GRID
+    + (
+        ("corpus", "count", lambda v, _: v >= 1, ">= 1"),
+        (
+            "audits",
+            "which",
+            lambda v, _: bool(audit_ids(v)) and set(audit_ids(v)) <= set(AUDIT_IDS),
+            f'"all" or a comma-separated list from {AUDIT_IDS}',
+        ),
+    ),
+    "transport-test": _GRID
+    + (_T, ("run", "levels", lambda v, _: v >= 2, ">= 2 (an order fit needs two)")),
 }
 
 

@@ -41,6 +41,11 @@ RHS_FORMS = ("spectral_form", "m_form", "u_form")
 
 # dt below this means the CFL speed exploded and the run is unusable
 DT_COLLAPSE = 1e-12
+# the CFL speed never counts as lower than this, so quiescent fields step
+# at most cfl_sigma * dx
+SPEED_FLOOR = 1.0
+# evolve gives up with DivergedError after this many steps
+MAX_STEPS = 2_000_000
 
 
 def momentum_coefficients(
@@ -127,11 +132,9 @@ class SolverConfig:
     dealias: bool = True
     dt: float | None = None  # None -> CFL policy
     cfl_sigma: float = 0.3
-    speed_floor: float = 1.0  # caps dt at sigma*dx for quiescent fields
     monitor_every: int = 10
     tail_threshold: float = 1e-3
     store_snapshots: bool = False
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.rhs_form not in RHS_FORMS:
@@ -152,7 +155,7 @@ def _cfl_dt(cfg: SolverConfig, *fields: RealField) -> float:
         float(np.max(np.abs(4.0 * f.values - 2.0 * derivative(f, 1).values)))
         for f in fields
     )
-    return cfg.cfl_sigma * fields[0].grid.dx / max(speed, cfg.speed_floor)
+    return cfg.cfl_sigma * fields[0].grid.dx / max(speed, SPEED_FLOOR)
 
 
 def refined_min(grid: Grid1D, vals: np.ndarray) -> tuple[float, float]:
@@ -367,7 +370,7 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
             if rep.tail_frac[-1] > cfg.tail_threshold:
                 rep.stop_reason = "resolution_stop"
                 break
-        if steps >= cfg.max_steps:
+        if steps >= MAX_STEPS:
             raise DivergedError(f"step budget exhausted at t={t:.6g}")
     rep.steps_taken = steps
     rep.final = u
@@ -424,28 +427,18 @@ def stability_experiment(
     d0 = besov_norm(m0diff, s - 1.0, 2.0, 2.0, part)
     if d0 == 0.0:
         return StabilityReport([0.0], [0.0], None, True)
-    if cfg.dt is None:
-        n = max(1, math.ceil(cfg.T / _cfl_dt(cfg, u0, v0)))
-        cfg = SolverConfig(
-            T=cfg.T,
-            rhs_form=cfg.rhs_form,
-            dealias=cfg.dealias,
-            dt=cfg.T / n,
-            monitor_every=cfg.monitor_every,
-        )
+    # n equal steps no longer than the fixed or CFL dt (up to round-off),
+    # so the run ends at T
+    dt = cfg.dt if cfg.dt is not None else _cfl_dt(cfg, u0, v0)
+    n = max(1, math.ceil(cfg.T / dt * (1.0 - 1e-12)))
     times = [0.0]
     dists = [1.0]
     a, b = u0.copy(), v0.copy()
-    t = 0.0
-    k = 0
-    n_total = round(cfg.T / cfg.dt)
-    while k < n_total:
-        a = step(a, cfg.dt, cfg)
-        b = step(b, cfg.dt, cfg)
-        t += cfg.dt
-        k += 1
-        if k % cfg.monitor_every == 0 or k == n_total:
+    for k in range(1, n + 1):
+        a = step(a, cfg.T / n, cfg)
+        b = step(b, cfg.T / n, cfg)
+        if k % cfg.monitor_every == 0 or k == n:
             diff = apply_one_minus_dxx(RealField(a.grid, a.values - b.values))
-            times.append(t)
+            times.append(cfg.T * k / n)
             dists.append(besov_norm(diff, s - 1.0, 2.0, 2.0, part) / d0)
     return StabilityReport(times, dists, max(dists), False)

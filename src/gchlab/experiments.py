@@ -1,10 +1,13 @@
-"""Experiment runners behind the CLI: build, run, emit artifacts, judge.
+"""Experiment runners behind the CLI: compute, then write and judge.
 
-Every runner writes report.json (summary + verdicts), a CSV of its primary
-series, and plot.svg, then returns a process exit code: 0 iff all hard
-assertions passed.  Outputs are byte-deterministic for a fixed config and
-seed — floats go through repr, keys keep insertion order, sweep rows are
-sorted by the orchestrator before writing.
+A runner `run_<kind>(cfg, grid, seed, threads)` only computes: it returns an
+`Outcome` with its report fields, its verdict, the texts of its artifact
+files and its chart, and touches no file.  `run_experiment` is the one place
+that writes: echo.cfg, every file the runner returned, plot.svg when
+`[output] plot` is set, and report.json; it returns the exit code, 0 iff the
+runner's checks passed.  Outputs are byte-deterministic for a fixed config
+and seed: floats go through repr, keys keep insertion order, sweep members
+keep amplitude order at any thread count.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
 from . import blowup as bl
 from . import dynamics as dyn
-from .config import canonical_echo
+from .config import audit_ids, canonical_echo, sweep_amplitudes
 from .errors import ConfigError, EstimationError
 from .fields import (
     Grid1D,
@@ -28,7 +32,7 @@ from .fields import (
     lp_norm,
     random_band_limited,
 )
-from .lpaley import AUDIT_IDS, inequality_audit
+from .lpaley import inequality_audit
 from .peakon import PeakonSolution, TestFunction, peakon_field, refinement_study
 from .svgplot import LineChart
 from .transport import (
@@ -40,9 +44,19 @@ from .transport import (
 )
 
 
+class Outcome(NamedTuple):
+    """What a runner computed; `run_experiment` writes it."""
+
+    body: dict  # report.json fields between "config" and "passed"
+    passed: bool
+    files: dict[str, str]  # path relative to the output dir -> text
+    chart: LineChart
+
+
 def _write(outdir: str, name: str, text: str):
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+    path = os.path.join(outdir, name)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -75,91 +89,79 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line of cells per row."""
+    lines = [header] + [",".join(_csv_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _gaussian(grid: Grid1D, amplitude: float, width: float, center: float) -> RealField:
-    if width <= 0:
-        raise ConfigError(f"gaussian width must be positive, got {width}")
     return RealField(
         grid, amplitude * np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
     )
 
 
 def _initial_field(dcfg: dict, grid: Grid1D, seed: int | None) -> RealField:
-    kind = dcfg.get("kind", "gaussian")
+    kind = dcfg["kind"]
     if kind == "zero":
         return RealField(grid, np.zeros(grid.n))
     if kind == "gaussian":
         return _gaussian(grid, dcfg["amplitude"], dcfg["width"], dcfg["center"])
     if kind == "peakon":
         return peakon_field(grid, 0.0, dcfg["speed"])
-    if kind == "random":
-        rng = np.random.default_rng(dcfg["seed"] if seed is None else seed)
-        f = random_band_limited(grid, rng, decay=dcfg["decay"])
-        # band-limited noise is periodic, not decaying; a Gaussian envelope
-        # (boundary value e^-18) keeps it inside the solver's decay screen
-        env = np.exp(-(grid.x**2) / (2.0 * (grid.L / 6.0) ** 2))
-        return RealField(grid, dcfg["amplitude"] * env * f.values)
-    raise ConfigError(f"unknown data kind {kind!r}")
+    # "random", the last of config.DATA_KINDS
+    rng = np.random.default_rng(dcfg["seed"] if seed is None else seed)
+    f = random_band_limited(grid, rng, decay=dcfg["decay"])
+    # band-limited noise is periodic, not decaying; a Gaussian envelope
+    # (boundary value e^-18) keeps it inside the solver's decay screen
+    env = np.exp(-(grid.x**2) / (2.0 * (grid.L / 6.0) ** 2))
+    return RealField(grid, dcfg["amplitude"] * env * f.values)
 
 
-def _series_plot(rep: dyn.RunReport, timestamp: bool) -> str:
+def _series_chart(rep: dyn.RunReport) -> LineChart:
     chart = LineChart("run monitors", "t", "value")
     chart.add("E", rep.times, rep.energy)
     chart.add("min u_xx", rep.times, rep.min_uxx)
     chart.add("B", rep.times, rep.B)
-    return chart.render(timestamp)
+    return chart
 
 
 def _solver_cfg(rcfg: dict) -> dyn.SolverConfig:
+    """The solver settings of a [run] section; keys it lacks keep their
+    SolverConfig defaults, and dt = 0 picks the CFL policy."""
+    keys = ("T", "rhs_form", "dealias", "cfl_sigma", "monitor_every", "tail_threshold")
     return dyn.SolverConfig(
-        T=rcfg["T"],
-        rhs_form=rcfg.get("rhs_form", "spectral_form"),
-        dealias=rcfg.get("dealias", True),
-        dt=None if rcfg.get("dt", 0.0) == 0.0 else rcfg["dt"],
-        cfl_sigma=rcfg.get("cfl_sigma", 0.3),
-        monitor_every=rcfg["monitor_every"],
-        tail_threshold=rcfg.get("tail_threshold", 1e-3),
+        dt=rcfg.get("dt") or None, **{k: rcfg[k] for k in keys if k in rcfg}
     )
 
 
-def run_simulate(cfg: dict, outdir: str, seed: int | None, threads: int) -> int:
-    grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
+def _evolve_ok(rep: dyn.RunReport, stops: tuple[str, ...]) -> bool:
+    """Both running bounds held and the run stopped for one of `stops`."""
+    v = rep.verdicts
+    return v["wbound_ok"] and v["slope_bound_ok"] and rep.stop_reason in stops
+
+
+def run_simulate(cfg: dict, grid: Grid1D, seed: int | None, threads: int) -> Outcome:
     u0 = _initial_field(cfg["data"], grid, seed)
     rep = dyn.evolve(u0, _solver_cfg(cfg["run"]))
-    _write(outdir, "series.csv", rep.to_csv())
-    if cfg["output"]["plot"]:
-        _write(outdir, "plot.svg", _series_plot(rep, cfg["output"]["timestamp"]))
-    summary = rep.summary()
-    ok = (
-        summary["verdicts"]["wbound_ok"]
-        and summary["verdicts"]["slope_bound_ok"]
-        and rep.stop_reason != "nonfinite"
+    return Outcome(
+        {"summary": rep.summary()},
+        _evolve_ok(rep, ("horizon",)),
+        {"series.csv": rep.to_csv()},
+        _series_chart(rep),
     )
-    _report(
-        outdir,
-        {"kind": "simulate", "config": cfg, "summary": summary, "passed": ok},
-    )
-    return 0 if ok else 1
 
 
-def run_peakon_verify(cfg: dict, outdir: str, seed: int | None, threads: int) -> int:
-    grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
+def run_peakon_verify(
+    cfg: dict, grid: Grid1D, seed: int | None, threads: int
+) -> Outcome:
     c = cfg["wave"]["speed"]
-    rcfg = cfg["run"]
-    u0 = peakon_field(grid, 0.0, c)
-    rep = dyn.evolve(
-        u0,
-        dyn.SolverConfig(
-            T=rcfg["T"],
-            cfl_sigma=rcfg["cfl_sigma"],
-            monitor_every=rcfg["monitor_every"],
-        ),
-    )
+    rcfg, rs = cfg["run"], cfg["residual"]
+    rep = dyn.evolve(peakon_field(grid, 0.0, c), _solver_cfg(rcfg))
     exact = peakon_field(grid, rcfg["T"], c)
     diff = RealField(grid, rep.final.values - exact.values)
     rel_l2 = lp_norm(diff, 2.0) / lp_norm(exact, 2.0)
-    drift = rep.summary()["energy_drift_rel"]
 
-    rs = cfg["residual"]
     phi = TestFunction(rs["x0"], rs["sigma"], (rs["p0"], rs["p1"], rs["p2"], rs["p3"]))
     study = refinement_study(
         PeakonSolution(c, grid.L),
@@ -170,48 +172,41 @@ def run_peakon_verify(cfg: dict, outdir: str, seed: int | None, threads: int) ->
         nt0=rs["nt0"],
         crest_split=rs["crest_split"],
     )
-    _write(outdir, "series.csv", rep.to_csv())
-    rows = ["level,nx,residual"]
-    for i, (n, r) in enumerate(zip(study.resolutions, study.residuals)):
-        rows.append(f"{i},{n},{_csv_cell(float(r))}")
-    _write(outdir, "residuals.csv", "\n".join(rows) + "\n")
-    if cfg["output"]["plot"]:
-        chart = LineChart("computed vs exact translate", "x", "u")
-        stride = max(1, grid.n // 512)
-        xs = grid.x[::stride]
-        chart.add("computed", xs, rep.final.values[::stride])
-        chart.add("exact", xs, exact.values[::stride])
-        _write(outdir, "plot.svg", chart.render(cfg["output"]["timestamp"]))
-    v = rep.verdicts
-    ok = (
-        rel_l2 <= rcfg["rel_tol"]
+    residuals = [float(r) for r in study.residuals]
+    chart = LineChart("computed vs exact translate", "x", "u")
+    stride = max(1, grid.n // 512)
+    chart.add("computed", grid.x[::stride], rep.final.values[::stride])
+    chart.add("exact", grid.x[::stride], exact.values[::stride])
+    body = {
+        "rel_l2_error": rel_l2,
+        "energy_drift_rel": rep.summary()["energy_drift_rel"],
+        "energy_exact_line": c * c / 12.0,
+        "residuals": residuals,
+        "fitted_order": study.fitted_order,
+        "stop_reason": rep.stop_reason,
+        "verdicts": rep.verdicts,
+    }
+    passed = (
+        _evolve_ok(rep, ("horizon",))
+        and rel_l2 <= rcfg["rel_tol"]
         and study.fitted_order >= rs["order_min"]
-        and study.residuals[-1] <= rs["tol"]
-        and rep.stop_reason == "horizon"
-        and v["wbound_ok"]
-        and v["slope_bound_ok"]
+        and residuals[-1] <= rs["tol"]
     )
-    _report(
-        outdir,
-        {
-            "kind": "peakon-verify",
-            "config": cfg,
-            "rel_l2_error": rel_l2,
-            "energy_drift_rel": drift,
-            "energy_exact_line": c * c / 12.0,
-            "residuals": [float(r) for r in study.residuals],
-            "fitted_order": study.fitted_order,
-            "stop_reason": rep.stop_reason,
-            "verdicts": v,
-            "passed": ok,
-        },
-    )
-    return 0 if ok else 1
+    files = {
+        "series.csv": rep.to_csv(),
+        "residuals.csv": _csv(
+            "level,nx,residual",
+            ((i, n, r) for i, (n, r) in enumerate(zip(study.resolutions, residuals))),
+        ),
+    }
+    return Outcome(body, passed, files, chart)
 
 
-def _blowup_single(cfg: dict, amplitude: float, outdir: str | None):
-    grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
-    dcfg = dict(cfg["data"])
+_SWEEP_COLUMNS = ("amplitude", "C_T", "verdict", "T_est", "bound_time", "window_mean")
+
+
+def _blowup_single(cfg: dict, grid: Grid1D, amplitude: float):
+    dcfg = cfg["data"]
     u0 = _gaussian(grid, amplitude, dcfg["width"], dcfg["center"])
     cond = bl.check_condition(u0, cfg["run"]["T"])
     rep = dyn.evolve(u0, _solver_cfg(cfg["run"]))
@@ -246,172 +241,118 @@ def _blowup_single(cfg: dict, amplitude: float, outdir: str | None):
         record["B_growth_factor"] = bl.accumulator_shape(rep.times, rep.B).growth_factor
     except (ConfigError, EstimationError) as exc:
         record["shape_error"] = str(exc)
-    if outdir is not None:
-        _write(outdir, "series.csv", rep.to_csv())
     return record, rep
 
 
-def run_blowup_study(cfg: dict, outdir: str, seed: int | None, threads: int) -> int:
-    record, rep = _blowup_single(cfg, cfg["data"]["amplitude"], outdir)
-    if cfg["output"]["plot"]:
-        _write(outdir, "plot.svg", _series_plot(rep, cfg["output"]["timestamp"]))
+def run_blowup_study(
+    cfg: dict, grid: Grid1D, seed: int | None, threads: int
+) -> Outcome:
+    record, rep = _blowup_single(cfg, grid, cfg["data"]["amplitude"])
 
-    sweep_raw = cfg["sweep"]["amplitudes"].strip()
-    sweep_records = []
-    if sweep_raw:
-        try:
-            amps = sorted(float(tok) for tok in sweep_raw.split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(
-                f"sweep amplitudes must be comma-separated numbers, got {sweep_raw!r}"
-            ) from None
+    def sweep_member(amplitude):
+        rec, member = _blowup_single(cfg, grid, amplitude)
+        return rec, member.to_csv()
 
-        def worker(i_amp):
-            i, amp = i_amp
-            sub = os.path.join(outdir, f"sweep_{i:02d}")
-            rec, _ = _blowup_single(cfg, amp, sub)
-            return rec
+    amps = sweep_amplitudes(cfg["sweep"]["amplitudes"])
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        members = list(pool.map(sweep_member, amps))  # amplitude order
+    sweep = [rec for rec, _ in members]
+    files = {"series.csv": rep.to_csv()}
+    for i, (_, text) in enumerate(members):
+        files[f"sweep_{i:02d}/series.csv"] = text
+    if sweep:
+        files["sweep.csv"] = _csv(
+            "A,C_T,verdict,T_est,bound,window_mean",
+            ([r[k] for k in _SWEEP_COLUMNS] for r in sweep),
+        )
 
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            sweep_records = list(pool.map(worker, enumerate(amps)))
-        sweep_records.sort(key=lambda r: r["amplitude"])
-        rows = ["A,C_T,verdict,T_est,bound,window_mean"]
-        for r in sweep_records:
-            rows.append(
-                ",".join(
-                    _csv_cell(r[k])
-                    for k in (
-                        "amplitude",
-                        "C_T",
-                        "verdict",
-                        "T_est",
-                        "bound_time",
-                        "window_mean",
-                    )
-                )
-            )
-        _write(outdir, "sweep.csv", "\n".join(rows) + "\n")
-
-    v = rep.verdicts
-    ok = v["wbound_ok"] and v["slope_bound_ok"] and rep.stop_reason != "nonfinite"
-    if record["verdict"]:
-        ok = ok and rep.stop_reason == "resolution_stop"
-        if record["T_est"] is not None and record["bound_time"] is not None:
-            ok = ok and record["T_est"] <= 1.1 * record["bound_time"]
-        else:
-            ok = False
-    _report(
-        outdir,
-        {
-            "kind": "blowup-study",
-            "config": cfg,
-            "study": record,
-            "sweep": sweep_records,
-            "verdicts": v,
-            "passed": ok,
-        },
-    )
-    return 0 if ok else 1
+    if record["verdict"]:  # breakdown predicted: a resolution stop in time
+        T_est, bound = record["T_est"], record["bound_time"]
+        passed = (
+            _evolve_ok(rep, ("resolution_stop",))
+            and T_est is not None
+            and bound is not None
+            and T_est <= 1.1 * bound
+        )
+    else:
+        passed = _evolve_ok(rep, ("horizon", "resolution_stop"))
+    body = {"study": record, "sweep": sweep, "verdicts": rep.verdicts}
+    return Outcome(body, passed, files, _series_chart(rep))
 
 
-def run_picard(cfg: dict, outdir: str, seed: int | None, threads: int) -> int:
-    grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
+def run_picard(cfg: dict, grid: Grid1D, seed: int | None, threads: int) -> Outcome:
     m0 = _initial_field(cfg["data"], grid, seed)
-    rcfg = cfg["run"]
+    rcfg, ccfg = cfg["run"], cfg["check"]
     pr = picard_run(
         m0,
         rcfg["T"],
         n_iter=rcfg["n_iter"],
         s=rcfg["s"],
-        dt=None if rcfg["dt"] == 0.0 else rcfg["dt"],
+        dt=rcfg["dt"] or None,  # 0 picks T/200
         n_slices=rcfg["n_slices"],
         keep_iterates=True,
     )
-    # direct solve from u0 = (1-dx^2)^{-1} m0, compared at the final time
-    u0 = helmholtz_inverse(m0)
+    # direct solve from u0 = (1-dx^2)^{-1} m0, compared at the final time;
+    # [run] dt is the transport step, so the solver keeps its CFL policy
     direct = dyn.evolve(
-        u0,
+        helmholtz_inverse(m0),
         dyn.SolverConfig(T=rcfg["T"], rhs_form="m_form", monitor_every=1000000),
     )
     m_direct = apply_one_minus_dxx(direct.final)
     m_last = pr.iterates[-1].frames[-1]
     direct_gap = lp_norm(RealField(grid, m_last - m_direct.values), 2.0)
 
-    rows = ["n,sup_norm,d_n,ratio"]
-    for i, dn in enumerate(pr.d, start=1):
-        ratio = pr.ratios[i - 2] if i >= 2 else None
-        rows.append(
-            f"{i},{_csv_cell(pr.sup_norms[i])},{_csv_cell(dn)},{_csv_cell(ratio)}"
-        )
-    _write(outdir, "series.csv", "\n".join(rows) + "\n")
-    if cfg["output"]["plot"]:
-        chart = LineChart("iterate distances", "n", "d_n", logy=True)
-        chart.add("d_n", list(range(1, len(pr.d) + 1)), pr.d)
-        _write(outdir, "plot.svg", chart.render(cfg["output"]["timestamp"]))
-
-    ccfg = cfg["check"]
+    chart = LineChart("iterate distances", "n", "d_n", logy=True)
+    chart.add("d_n", range(1, len(pr.d) + 1), pr.d)
+    rows = (
+        (i, pr.sup_norms[i], dn, pr.ratios[i - 2] if i >= 2 else None)
+        for i, dn in enumerate(pr.d, start=1)
+    )
     late = pr.ratios[ccfg["ratio_from"] - 1 :]
-    ok = (
+    passed = (
         pr.smallness_ok
         and direct_gap <= ccfg["direct_tol"]
         and all(r <= ccfg["ratio_max"] for r in late)
     )
-    _report(
-        outdir,
-        {
-            "kind": "picard",
-            "config": cfg,
-            "d": pr.d,
-            "ratios": pr.ratios,
-            "sup_norms": pr.sup_norms,
-            "fitted_C": pr.fitted_C,
-            "bound": pr.bound,
-            "smallness_ok": pr.smallness_ok,
-            "direct_gap_l2": direct_gap,
-            "passed": ok,
-        },
-    )
-    return 0 if ok else 1
+    body = {
+        "d": pr.d,
+        "ratios": pr.ratios,
+        "sup_norms": pr.sup_norms,
+        "fitted_C": pr.fitted_C,
+        "bound": pr.bound,
+        "smallness_ok": pr.smallness_ok,
+        "direct_gap_l2": direct_gap,
+    }
+    files = {"series.csv": _csv("n,sup_norm,d_n,ratio", rows)}
+    return Outcome(body, passed, files, chart)
 
 
-def run_besov_audit(cfg: dict, outdir: str, seed: int | None, threads: int) -> int:
-    grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
+def run_besov_audit(
+    cfg: dict, grid: Grid1D, seed: int | None, threads: int
+) -> Outcome:
     ccfg = cfg["corpus"]
     rng = np.random.default_rng(ccfg["seed"] if seed is None else seed)
     corpus = [
         random_band_limited(grid, rng, frac=ccfg["frac"], decay=ccfg["decay"])
         for _ in range(ccfg["count"])
     ]
-    which = cfg["audits"]["which"]
-    ids = AUDIT_IDS if which == "all" else tuple(
-        tok.strip() for tok in which.split(",") if tok.strip()
-    )
+    ids = audit_ids(cfg["audits"]["which"])
     reports = [inequality_audit(corpus, aid) for aid in ids]
-    rows = ["audit,sample,ratio"]
+    chart = LineChart("audit ratios", "sample", "ratio")
     for r in reports:
-        for i, ratio in enumerate(r.ratios):
-            rows.append(f"{r.audit_id},{i},{_csv_cell(float(ratio))}")
-    _write(outdir, "series.csv", "\n".join(rows) + "\n")
-    if cfg["output"]["plot"]:
-        chart = LineChart("audit ratios", "sample", "ratio")
-        for r in reports:
-            chart.add(r.audit_id, list(range(len(r.ratios))), list(r.ratios))
-        _write(outdir, "plot.svg", chart.render(cfg["output"]["timestamp"]))
-    ok = all(r.passed for r in reports)
-    _report(
-        outdir,
-        {
-            "kind": "besov-audit",
-            "config": cfg,
-            "audits": [r.to_json() for r in reports],
-            "passed": ok,
-        },
+        chart.add(r.audit_id, range(len(r.ratios)), r.ratios)
+    rows = ((r.audit_id, i, float(x)) for r in reports for i, x in enumerate(r.ratios))
+    return Outcome(
+        {"audits": [r.to_json() for r in reports]},
+        all(r.passed for r in reports),
+        {"series.csv": _csv("audit,sample,ratio", rows)},
+        chart,
     )
-    return 0 if ok else 1
 
 
-def run_transport_test(cfg: dict, outdir: str, seed: int | None, threads: int) -> int:
-    grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
+def run_transport_test(
+    cfg: dict, grid: Grid1D, seed: int | None, threads: int
+) -> Outcome:
     rcfg = cfg["run"]
     T = rcfg["T"]
 
@@ -446,36 +387,26 @@ def run_transport_test(cfg: dict, outdir: str, seed: int | None, threads: int) -
     tp_audit = TransportProblem(grid, ffield, frozen, None, T)
     audit = transport_apriori_audit(tp_audit, acfg["dt"], s=acfg["s"])
 
-    rows = ["level,dt,error"]
-    for i, (dt, e) in enumerate(zip(dts, errs)):
-        rows.append(f"{i},{_csv_cell(dt)},{_csv_cell(e)}")
-    _write(outdir, "series.csv", "\n".join(rows) + "\n")
-    if cfg["output"]["plot"]:
-        chart = LineChart("manufactured-solution convergence", "level", "error", logy=True)
-        chart.add("max error", list(range(len(errs))), errs)
-        _write(outdir, "plot.svg", chart.render(cfg["output"]["timestamp"]))
-    ok = (
+    chart = LineChart("manufactured-solution convergence", "level", "error", logy=True)
+    chart.add("max error", range(len(errs)), errs)
+    passed = (
         const_err <= cfg["check"]["exact_tol"]
         and order >= cfg["check"]["order_min"]
         and audit.passed
     )
-    _report(
-        outdir,
-        {
-            "kind": "transport-test",
-            "config": cfg,
-            "constant_advection_error": const_err,
-            "errors": errs,
-            "fitted_order": order,
-            "audit": {
-                "fitted_C": audit.fitted_C,
-                "refinement_drift": audit.refinement_drift,
-                "passed": audit.passed,
-            },
-            "passed": ok,
+    body = {
+        "constant_advection_error": const_err,
+        "errors": errs,
+        "fitted_order": order,
+        "audit": {
+            "fitted_C": audit.fitted_C,
+            "refinement_drift": audit.refinement_drift,
+            "passed": audit.passed,
         },
-    )
-    return 0 if ok else 1
+    }
+    rows = ((i, dt, e) for i, (dt, e) in enumerate(zip(dts, errs)))
+    files = {"series.csv": _csv("level,dt,error", rows)}
+    return Outcome(body, passed, files, chart)
 
 
 RUNNERS = {
@@ -491,15 +422,28 @@ RUNNERS = {
 def run_experiment(
     kind: str, cfg: dict, outdir: str, seed: int | None = None, threads: int = 1
 ) -> int:
+    """Run one experiment and write its artifacts into outdir.
+
+    echo.cfg is written first; the runner's files, plot.svg and report.json
+    are written after it returns.  A run that raises leaves echo.cfg and an
+    error report.json, and the exception propagates.  Returns 0 iff the
+    runner's checks passed, else 1.
+    """
     if kind not in RUNNERS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    os.makedirs(outdir, exist_ok=True)
     _write(outdir, "echo.cfg", canonical_echo(cfg, kind))
     try:
-        return RUNNERS[kind](cfg, outdir, seed, threads)
-    except Exception as exc:  # error record per contract, then nonzero exit
-        _report(
-            outdir,
-            {"kind": kind, "error": f"{type(exc).__name__}: {exc}", "passed": False},
-        )
+        grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
+        out = RUNNERS[kind](cfg, grid, seed, threads)
+        for name, text in out.files.items():
+            _write(outdir, name, text)
+        if cfg["output"]["plot"]:
+            _write(outdir, "plot.svg", out.chart.render(cfg["output"]["timestamp"]))
+        report = {"kind": kind, "config": cfg, **out.body, "passed": out.passed}
+    except BaseException as exc:  # error record per contract, then re-raise
+        error = f"{type(exc).__name__}: {exc}"
+        report = {"kind": kind, "error": error, "passed": False}
         raise
+    finally:
+        _report(outdir, report)
+    return 0 if report["passed"] else 1

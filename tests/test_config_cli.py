@@ -172,6 +172,58 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind,text",
+        [
+            ("simulate", "[run]\ndt = -0.01\n"),
+            ("simulate", "[run]\nmonitor_every = 0\n"),
+            ("peakon-verify", "[run]\nmonitor_every = -3\n"),
+            ("simulate", "[run]\ncfl_sigma = 0.0\n"),
+            ("blowup-study", "[run]\ncfl_sigma = 1.5\n"),
+            ("simulate", "[run]\nT = 0.0\n"),
+            ("peakon-verify", "[run]\nT = -1.0\n"),
+            ("blowup-study", "[run]\nT = 0.0\n"),
+            ("transport-test", "[run]\nT = 0.0\n"),
+            ("simulate", '[run]\nrhs_form = "weak_form"\n'),
+            ("simulate", "[data]\nwidth = 0.0\n"),
+            ("blowup-study", "[data]\nwidth = -0.1\n"),
+            ("picard", "[data]\nwidth = 0.0\n"),
+            ("simulate", '[data]\nkind = "square"\n'),
+            # picard's [data] has no speed key to build a peakon from
+            ("picard", '[data]\nkind = "peakon"\n'),
+            ("peakon-verify", "[wave]\nspeed = 0.0\n"),
+            # one level gives no order to fit: an error, or a PASS on noise
+            ("peakon-verify", "[residual]\nlevels = 1\n"),
+            ("transport-test", "[run]\nlevels = 1\n"),
+            ("besov-audit", '[audits]\nwhich = "embedding,sobolev"\n'),
+            ("besov-audit", '[audits]\nwhich = ""\n'),  # would audit nothing
+            ("besov-audit", "[corpus]\ncount = 0\n"),
+            ("blowup-study", '[sweep]\namplitudes = "0.05,nan"\n'),
+            ("blowup-study", '[sweep]\namplitudes = "0.05,inf"\n'),
+            ("blowup-study", '[sweep]\namplitudes = "0.05,abc"\n'),
+            ("simulate", "[grid]\nn = 100\n"),
+            ("besov-audit", "[grid]\nL = 0.0\n"),
+        ],
+    )
+    def test_range_fails_at_load_time(self, tmp_path, capsys, kind, text):
+        path = write(tmp_path, "r.cfg", text)
+        out = tmp_path / "o"
+        rc = main([kind, "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_range_edges_accepted(self):
+        text = "[run]\ncfl_sigma = 1.0\nmonitor_every = 1\n"
+        cfg = parse_config(text, "simulate")
+        assert (cfg["run"]["cfl_sigma"], cfg["run"]["monitor_every"]) == (1.0, 1)
+        cfg = parse_config('[audits]\nwhich = "morse, embedding"\n', "besov-audit")
+        assert cfg["audits"]["which"] == "morse, embedding"
+        cfg = parse_config('[sweep]\namplitudes = " 0.3, 0.1 ,"\n', "blowup-study")
+        assert cfg["sweep"]["amplitudes"] == " 0.3, 0.1 ,"
+
     def test_picard_range_edges_accepted(self):
         cfg = parse_config(
             "[run]\nn_slices = 2\nn_iter = 2\ndt = 0.0\n[check]\nratio_from = 1\n",
@@ -216,6 +268,53 @@ class TestCli:
         rep = json.loads(open(os.path.join(out, "report.json")).read())
         assert rep["study"]["verdict"] is False
         assert rep["study"]["stop_reason"] == "horizon"
+
+
+# one small, passing config per experiment kind
+SMALL = {
+    "simulate": SIM_SMOKE,
+    "peakon-verify": "[grid]\nn = 1024\n[run]\nT = 0.2\n[residual]\nlevels = 3\n",
+    "blowup-study": BLOWUP_SMOKE + '[sweep]\namplitudes = "0.04"\n',
+    "picard": "[grid]\nn = 256\n[run]\nn_iter = 4\n",
+    # plot is off by default for besov-audit; on here to render its chart
+    "besov-audit": "[grid]\nn = 256\n[corpus]\ncount = 12\n[output]\nplot = true\n",
+    "transport-test": "[grid]\nn = 256\n",
+}
+
+
+class TestRunContract:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_passes_with_ordered_report(self, tmp_path, kind):
+        path = write(tmp_path, "k.cfg", SMALL[kind])
+        out = tmp_path / "o"
+        assert main([kind, "--config", path, "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        keys = list(rep)
+        assert keys[:2] == ["kind", "config"] and keys[-1] == "passed"
+        assert rep["kind"] == kind and rep["passed"] is True
+        assert (out / "echo.cfg").exists() and (out / "plot.svg").exists()
+
+    def test_early_stop_never_passes(self, tmp_path, capsys):
+        # a tail threshold below zero stops the run at its first monitored step
+        text = "[grid]\nn = 256\n[run]\ntail_threshold = -1.0\n"
+        path = write(tmp_path, "s.cfg", text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 1
+        assert "simulate: FAIL" in capsys.readouterr().out
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["summary"]["stop_reason"] == "resolution_stop"
+        assert rep["passed"] is False
+
+    def test_run_time_error_leaves_echo_and_error_report(self, tmp_path, capsys):
+        # a width-30 Gaussian on [-40, 40) fails the solver's domain-decay screen
+        path = write(tmp_path, "w.cfg", "[grid]\nn = 256\n[data]\nwidth = 30.0\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 1
+        assert "run failed" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["echo.cfg", "report.json"]
+        rep = json.loads((out / "report.json").read_text())
+        assert list(rep) == ["kind", "error", "passed"]
+        assert "decay" in rep["error"] and rep["passed"] is False
 
 
 class TestDeterminism:

@@ -249,6 +249,19 @@ class TestStability:
         assert rep.distances[0] == 1.0
         assert rep.ratio_sup < 10.0
 
+    @pytest.mark.parametrize("dt", [0.2, None])
+    def test_ends_at_horizon(self, dt):
+        # a fixed dt that does not divide T still ends the run at T
+        g = Grid1D(40.0, 256)
+        u0 = gaussian(g)
+        v0 = RealField(g, u0.values + 1e-6 * np.cos(math.pi * g.x / g.L))
+        cfg = SolverConfig(T=0.5, dt=dt, monitor_every=1)
+        rep = stability_experiment(u0, v0, cfg)
+        assert rep.times[-1] == pytest.approx(0.5, rel=1e-12)
+        steps = np.diff(rep.times)
+        assert np.allclose(steps, steps[0], rtol=1e-12)
+        assert dt is None or steps[0] <= dt
+
     def test_identical_data_short_circuits(self):
         g = Grid1D(40.0, 256)
         u0 = gaussian(g)
