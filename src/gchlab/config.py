@@ -293,6 +293,7 @@ def parse_config(text: str, kind: str) -> dict:
     schema = SCHEMAS[kind]
     cfg = {sec: {k: d for k, (_, d) in keys.items()} for sec, keys in schema.items()}
     section = None
+    seen: dict[tuple[str, str], int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -319,6 +320,11 @@ def parse_config(text: str, kind: str) -> dict:
                 f"line {ln}: unknown key '{key}' in [{section}]; "
                 f"known: {sorted(schema[section])}"
             )
+        if (section, key) in seen:
+            raise ConfigError(
+                f"line {ln}: key '{key}' in [{section}] repeats line {seen[section, key]}"
+            )
+        seen[section, key] = ln
         ty, _ = schema[section][key]
         cfg[section][key] = _parse_value(val, ty, key, ln)
     for sec, key, ok, need in RANGES.get(kind, ()):

@@ -70,7 +70,7 @@ class _Kernel:
         self.grid = grid
         # dx(2+dx) = 2 dx + dx^2; Nyquist keeps only the even part
         self.edge = 2.0 * grid.ik - grid.k**2
-        self.mask = dealias_mask(grid) if dealias else np.ones(grid.n, dtype=bool)
+        self.mask = dealias_mask(grid) if dealias else np.ones(grid.k.shape, dtype=bool)
 
     def dx(self, ch: np.ndarray) -> np.ndarray:
         return synthesize(self.grid.ik * ch)

@@ -8,6 +8,11 @@ per-mode Parseval weights, and `Grid1D` caches the symbols (`k`, `ik`,
 multiply by those symbols and never see the coefficient layout.
 Physical-space integrals are Riemann sums with weight dx; by Parseval that
 matches the coefficient-space sums used for the Sobolev norms.
+
+Every field is real, so the layer keeps the half spectrum (real FFTs):
+N//2 + 1 coefficients for k = 0, pi/L, ..., k_Nyquist, all k >= 0, with
+Nyquist last.  Each interior coefficient also stands for its conjugate at
+-k, so `power` counts interior modes twice.
 """
 
 from __future__ import annotations
@@ -29,7 +34,11 @@ KERNEL_TERM_FLOOR = 1e-16
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid on [-L, L) with power-of-two N."""
+    """Uniform periodic grid on [-L, L) with power-of-two N.
+
+    `k` holds the N//2 + 1 wavenumbers of the half spectrum, 0 to the
+    Nyquist wavenumber, which comes last and is positive.
+    """
 
     L: float
     n: int
@@ -44,8 +53,8 @@ class Grid1D:
             raise ConfigError(f"N must be a power of two >= 16, got N={n}")
         dx = 2.0 * self.L / n
         object.__setattr__(self, "x", -self.L + dx * np.arange(n))
-        # fftfreq(n, d=dx) * 2*pi == pi*j/L in FFT order, Nyquist negative
-        object.__setattr__(self, "k", 2.0 * np.pi * np.fft.fftfreq(n, d=dx))
+        # rfftfreq(n, d=dx) * 2*pi == pi*j/L for j = 0 .. n/2
+        object.__setattr__(self, "k", 2.0 * np.pi * np.fft.rfftfreq(n, d=dx))
 
     @property
     def dx(self) -> float:
@@ -61,7 +70,7 @@ class Grid1D:
         coefficient of a real field is real, and an odd power of ik would
         make it imaginary, i.e. leak a non-representable mode."""
         ik = 1j * self.k
-        ik[self.n // 2] = 0.0
+        ik[-1] = 0.0
         ik.flags.writeable = False
         return ik
 
@@ -71,6 +80,15 @@ class Grid1D:
         helm = 1.0 / (1.0 + self.k**2)
         helm.flags.writeable = False
         return helm
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """Parseval multiplicity of each coefficient: 2 for the interior
+        modes, which also stand for -k, and 1 for DC and Nyquist."""
+        w = np.full(self.k.shape, 2.0)
+        w[0] = w[-1] = 1.0
+        w.flags.writeable = False
+        return w
 
 
 @dataclass
@@ -94,18 +112,22 @@ def spectrum(values: np.ndarray) -> np.ndarray:
 
     Transforms along the last axis, so a stack of frames works too.
     """
-    return np.fft.fft(values)
+    return np.fft.rfft(values)
 
 
 def synthesize(coeffs: np.ndarray) -> np.ndarray:
-    """Real grid values of a coefficient array; inverts `spectrum`."""
-    return np.fft.ifft(coeffs).real
+    """Real grid values of a coefficient array; inverts `spectrum`.
+
+    The imaginary parts of the DC and Nyquist coefficients are dropped.
+    """
+    return np.fft.irfft(coeffs)
 
 
 def power(f: RealField) -> np.ndarray:
-    """Per-mode |f^_k|^2 dx/n, whose sum is the Riemann sum of f^2 (Parseval)."""
+    """Per-mode weight * |f^_k|^2 dx/n, whose sum is the Riemann sum of f^2
+    (Parseval); see Grid1D.weight."""
     g = f.grid
-    return np.abs(spectrum(f.values)) ** 2 * (g.dx / g.n)
+    return np.abs(spectrum(f.values)) ** 2 * (g.weight * (g.dx / g.n))
 
 
 def derivative(f: RealField, order: int = 1) -> RealField:
@@ -227,13 +249,12 @@ def refine_field(f: RealField, factor: int = 2) -> RealField:
     g = f.grid
     fine = Grid1D(g.L, g.n * factor)
     ch = spectrum(f.values)
-    out = np.zeros(fine.n, dtype=complex)
+    out = np.zeros(fine.k.shape, dtype=complex)
     half = g.n // 2
     out[:half] = ch[:half]
-    out[fine.n - half :] = ch[half:]
-    # split the Nyquist coefficient across +-k_nyq to keep the field real
+    # the coarse Nyquist mode cos(k_nyq x) is an interior mode on the fine
+    # grid, where a coefficient also stands for -k: half of it each way
     out[half] = 0.5 * ch[half]
-    out[fine.n - half] += 0.5 * ch[half]
     return RealField(fine, synthesize(out) * factor)
 
 
@@ -251,13 +272,19 @@ def random_band_limited(
     """
     g = grid
     kcut = frac * g.nyquist
+    # draw on the full frequency list +-k, then fold each +k with the
+    # conjugate of its -k partner: the real part of the full inverse
+    # transform is the inverse of the folded half spectrum
+    k = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.dx)
     ch = np.zeros(g.n, dtype=complex)
-    mask = (np.abs(g.k) <= kcut) & (g.k != 0.0)
+    mask = (np.abs(k) <= kcut) & (k != 0.0)
     nm = int(mask.sum())
     ch[mask] = rng.standard_normal(nm) + 1j * rng.standard_normal(nm)
-    ch *= (1.0 + g.k**2) ** (-decay / 2.0)
-    ch[g.n // 2] = 0.0
-    vals = synthesize(ch)
+    ch *= (1.0 + k**2) ** (-decay / 2.0)
+    half = g.n // 2
+    folded = 0.5 * (ch[: half + 1] + np.conj(ch[-np.arange(half + 1)]))
+    folded[half] = 0.0
+    vals = synthesize(folded)
     m = np.max(np.abs(vals))
     if m > 0:
         vals *= amplitude / m

@@ -103,7 +103,7 @@ def build_partition(grid: Grid1D) -> DyadicPartition:
         raise ConfigError(f"grid too coarse for a dyadic partition (k_nyq={kny:.3g})")
     # chi_b(|k| / 2^j) for j = 0..j_max; shared values make telescoping exact
     cb = np.array([chi_base(absk / float(2**j)) for j in range(j_max + 1)])
-    mult = np.zeros((j_max + 2, grid.n))
+    mult = np.zeros((j_max + 2,) + absk.shape)
     for j in range(j_max):
         mult[j + 1] = cb[j + 1] - cb[j]
     mult[j_max + 1] = 1.0 - cb[j_max]  # top octave carries everything above

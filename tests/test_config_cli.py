@@ -215,6 +215,24 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text,lines",
+        [
+            ("[grid]\nn = 256\nn = 512\n", (2, 3)),
+            ("[grid]\nn = 256\n[run]\nT = 0.1\n[grid]\nn = 256\n", (2, 6)),
+        ],
+    )
+    def test_repeated_key_fails_at_load_time(self, tmp_path, capsys, text, lines):
+        path = write(tmp_path, "r.cfg", text)
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"line {lines[1]}" in err and f"repeats line {lines[0]}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_range_edges_accepted(self):
         text = "[run]\ncfl_sigma = 1.0\nmonitor_every = 1\n"
         cfg = parse_config(text, "simulate")
@@ -319,7 +337,9 @@ class TestRunContract:
 
 class TestDeterminism:
     def test_simulate_random_data_byte_identical(self, tmp_path):
-        text = SIM_SMOKE + '\n[data]\nkind = "random"\nseed = 11\namplitude = 0.05\n'
+        text = SIM_SMOKE.replace("amplitude = 0.5\n", "") + (
+            '\n[data]\nkind = "random"\nseed = 11\namplitude = 0.05\n'
+        )
         path = write(tmp_path, "r.cfg", text)
         outs = []
         for tag in ("a", "b"):
@@ -331,7 +351,9 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_seed_override_changes_random_run(self, tmp_path):
-        text = SIM_SMOKE + '\n[data]\nkind = "random"\nseed = 11\namplitude = 0.05\n'
+        text = SIM_SMOKE.replace("amplitude = 0.5\n", "") + (
+            '\n[data]\nkind = "random"\nseed = 11\namplitude = 0.05\n'
+        )
         path = write(tmp_path, "r.cfg", text)
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["simulate", "--config", path, "--out", out_a]) == 0
