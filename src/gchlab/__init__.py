@@ -11,7 +11,6 @@ from .errors import ConfigError, DivergedError, EstimationError
 from .fields import (
     Grid1D,
     RealField,
-    dealias,
     derivative,
     green_convolve,
     helmholtz_inverse,
@@ -23,7 +22,6 @@ from .fields import (
     synthesize,
 )
 from .lpaley import (
-    DyadicPartition,
     besov_norm,
     build_partition,
     dyadic_block,
@@ -33,13 +31,9 @@ from .lpaley import (
     reconstruct,
 )
 from .dynamics import (
-    RunReport,
     SolverConfig,
-    dp_residual,
-    dp_transform,
     energy,
     evolve,
-    min_uxx,
     rhs_m_form,
     rhs_spectral_form,
     rhs_u_form,
@@ -57,7 +51,6 @@ from .transport import (
 )
 from .peakon import (
     PeakonSolution,
-    SnapshotProvider,
     TestFunction,
     peakon_energy,
     peakon_field,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import KINDS, load_config, parse_config
+from .config import KINDS, load_config
 from .errors import ConfigError, DivergedError, EstimationError
 from .experiments import run_experiment
 

@@ -2,10 +2,11 @@
 
 Everything lives on a uniform grid over [-L, L) with N a power of two.
 This is the only module that calls numpy.fft: `spectrum` and `synthesize`
-map grid values to Fourier coefficients and back, `power` gives the
-per-mode Parseval weights, and `Grid1D` caches the symbols (`k`, `ik`,
-`helm`) that are index-aligned with the coefficients.  Other modules
-multiply by those symbols and never see the coefficient layout.
+map grid values to Fourier coefficients and back, `coefficient_power` and
+`power` give the per-mode Parseval weights, and `Grid1D` caches the
+symbols (`k`, `ik`, `helm`) that are index-aligned with the coefficients.
+Other modules multiply by those symbols and never see the coefficient
+layout.
 Physical-space integrals are Riemann sums with weight dx; by Parseval that
 matches the coefficient-space sums used for the Sobolev norms.
 
@@ -123,11 +124,15 @@ def synthesize(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.irfft(coeffs)
 
 
+def coefficient_power(grid: Grid1D, coeffs: np.ndarray) -> np.ndarray:
+    """Per-mode weight * |c_k|^2 dx/n; for coeffs = spectrum(f) the sum is
+    the Riemann sum of f^2 (Parseval).  See Grid1D.weight."""
+    return np.abs(coeffs) ** 2 * (grid.weight * (grid.dx / grid.n))
+
+
 def power(f: RealField) -> np.ndarray:
-    """Per-mode weight * |f^_k|^2 dx/n, whose sum is the Riemann sum of f^2
-    (Parseval); see Grid1D.weight."""
-    g = f.grid
-    return np.abs(spectrum(f.values)) ** 2 * (g.weight * (g.dx / g.n))
+    """coefficient_power of the field's spectrum."""
+    return coefficient_power(f.grid, spectrum(f.values))
 
 
 def derivative(f: RealField, order: int = 1) -> RealField:
@@ -232,12 +237,6 @@ def check_domain_decay(f: RealField, tol: float = POLLUTION_TOL) -> None:
 def dealias_mask(grid: Grid1D) -> np.ndarray:
     """Boolean mask keeping |k| <= (2/3) k_Nyquist (the 2/3 rule)."""
     return np.abs(grid.k) <= (2.0 / 3.0) * grid.nyquist
-
-
-def dealias(f: RealField) -> RealField:
-    ch = spectrum(f.values)
-    ch[~dealias_mask(f.grid)] = 0.0
-    return RealField(f.grid, synthesize(ch))
 
 
 def refine_field(f: RealField, factor: int = 2) -> RealField:

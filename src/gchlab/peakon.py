@@ -25,14 +25,12 @@ solution must vanish under mesh refinement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .fields import Grid1D, RealField, derivative
-from .transport import TimeSlices
+from .fields import Grid1D, RealField
 
 BUMP_EDGE_TOL = 1e-12
 
@@ -107,28 +105,6 @@ class PeakonSolution:
 
     def crest(self, t: float) -> float:
         return float(_wrap(np.array([self.c * t]), self.L)[0])
-
-
-class SnapshotProvider:
-    """Residual provider backed by stored simulation frames.
-
-    Cubic in x, linear in t (two TimeSlices); w is assembled from
-    spectrally precomputed slope frames so the two fields stay consistent.
-    """
-
-    def __init__(self, grid: Grid1D, times, frames):
-        if len(times) < 2:
-            raise ConfigError("need at least two frames")
-        self.grid = grid
-        self.u = TimeSlices(grid, times, frames)
-        slopes = [derivative(RealField(grid, f), 1).values for f in self.u.frames]
-        self.slope = TimeSlices(grid, times, slopes)
-
-    def w(self, t: float, x: np.ndarray) -> np.ndarray:
-        return 2.0 * self.u(t, x) - self.slope(t, x)
-
-    def crest(self, t: float):
-        return None
 
 
 class TestFunction:
@@ -226,11 +202,7 @@ def weak_residual(
     if nx < 4 or nt < 4:
         raise ConfigError("need at least 4 quadrature cells per direction")
     a, b = phi.support
-    if hasattr(provider, "grid"):
-        g = provider.grid
-        if a < -g.L or b > g.L:
-            raise ConfigError("test function support leaves the domain")
-    elif hasattr(provider, "L") and (a < -provider.L or b > provider.L):
+    if hasattr(provider, "L") and (a < -provider.L or b > provider.L):
         raise ConfigError("test function support leaves the domain")
     ts = np.linspace(0.0, T, nt + 1)
     lines = np.empty(nt + 1)

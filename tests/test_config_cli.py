@@ -323,6 +323,24 @@ class TestRunContract:
         assert rep["summary"]["stop_reason"] == "resolution_stop"
         assert rep["passed"] is False
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("form", ["spectral_form", "m_form", "u_form"])
+    def test_nonfinite_state_fails_cleanly(self, tmp_path, capsys, form):
+        # a tall bump with a huge fixed step leaves floating point in a few steps
+        text = (
+            "[grid]\nn = 256\n[run]\nT = 2.0\ndt = 0.5\ntail_threshold = 2.0\n"
+            f'rhs_form = "{form}"\n[data]\namplitude = 5.0\n'
+        )
+        path = write(tmp_path, "nf.cfg", text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "simulate: FAIL" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["summary"]["stop_reason"] == "nonfinite"
+        assert rep["passed"] is False
+
     def test_run_time_error_leaves_echo_and_error_report(self, tmp_path, capsys):
         # a width-30 Gaussian on [-40, 40) fails the solver's domain-decay screen
         path = write(tmp_path, "w.cfg", "[grid]\nn = 256\n[data]\nwidth = 30.0\n")

@@ -1,4 +1,4 @@
-"""Solver forms, integrator order, monitors, and the DP shadow check."""
+"""Solver forms, the coefficient-space step, integrator order, monitors."""
 
 import math
 
@@ -15,7 +15,6 @@ from gchlab import (
     evolve,
     helmholtz_inverse,
     lp_norm,
-    min_uxx,
     peakon_field,
     random_band_limited,
     rhs_m_form,
@@ -25,18 +24,34 @@ from gchlab import (
     stability_experiment,
     step,
 )
+from gchlab import dynamics, fields
 from gchlab.dynamics import (
+    RHS_FORMS,
+    SPEED_FLOOR,
     RunReport,
-    dp_residual,
-    dp_transform,
     momentum_coefficients,
+    refined_min,
     spectral_tail_fraction,
 )
-from gchlab.fields import apply_one_minus_dxx, spectrum
+from gchlab.fields import apply_one_minus_dxx, derivative, spectrum, synthesize
 
 
 def gaussian(grid, A=0.8, width=2.0):
     return RealField(grid, A * np.exp(-(grid.x**2) / (2 * width**2)))
+
+
+def step_data(n):
+    # a smooth field, and a peaked wave whose kink feeds every mode
+    if n == 256:
+        return gaussian(Grid1D(40.0, n))
+    return peakon_field(Grid1D(40.0, n), 0.0, 2.0)
+
+
+PHYSICAL_RHS = {
+    "spectral_form": rhs_spectral_form,
+    "m_form": rhs_m_form,
+    "u_form": rhs_u_form,
+}
 
 
 class TestRhsForms:
@@ -79,14 +94,128 @@ class TestRhsForms:
         g = Grid1D(40.0, 256)
         u0 = gaussian(g)
         dt = 1e-3
-        a = step(u0, dt, SolverConfig(T=1.0, rhs_form="spectral_form"))
-        b = step(u0, dt, SolverConfig(T=1.0, rhs_form="m_form"))
-        gap = np.max(np.abs(a.values - b.values))
+        ch = spectrum(u0.values)
+        a, _ = step(g, ch, SolverConfig(T=1.0, rhs_form="spectral_form", dt=dt), math.inf)
+        b, _ = step(g, ch, SolverConfig(T=1.0, rhs_form="m_form", dt=dt), math.inf)
+        gap = np.max(np.abs(synthesize(a) - synthesize(b)))
         assert gap < 1e-11
 
     def test_rejects_unknown_form(self):
         with pytest.raises(ConfigError):
             SolverConfig(T=1.0, rhs_form="weak_form")
+
+
+class TestCoefficientStep:
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("form", RHS_FORMS)
+    def test_step_matches_physical_rk4(self, form, n):
+        # the oracle: classical RK4 on grid values through the physical
+        # wrappers, in m = (1 - dx^2)u for the momentum form
+        u0 = step_data(n)
+        g = u0.grid
+        dt = 1e-3
+        start = apply_one_minus_dxx(u0).values if form == "m_form" else u0.values
+
+        def f(v):
+            return PHYSICAL_RHS[form](RealField(g, v)).values
+
+        k1 = f(start)
+        k2 = f(start + 0.5 * dt * k1)
+        k3 = f(start + 0.5 * dt * k2)
+        k4 = f(start + dt * k3)
+        oracle = start + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if form == "m_form":
+            oracle = helmholtz_inverse(RealField(g, oracle)).values
+        cfg = SolverConfig(T=1.0, rhs_form=form, dt=dt)
+        new, taken = step(g, spectrum(u0.values), cfg, math.inf)
+        assert taken == dt
+        gap = np.max(np.abs(synthesize(new) - oracle))
+        assert gap <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("form", RHS_FORMS)
+    def test_cfl_dt_from_first_stage(self, form, n):
+        u0 = step_data(n)
+        g = u0.grid
+        speed = np.max(np.abs(4.0 * u0.values - 2.0 * derivative(u0, 1).values))
+        assert speed > SPEED_FLOOR
+        cfg = SolverConfig(T=1.0, rhs_form=form)
+        want = cfg.cfl_sigma * g.dx / max(speed, SPEED_FLOOR)
+        ch = spectrum(u0.values)
+        _, dt = step(g, ch, cfg, math.inf)
+        assert dt == pytest.approx(want, rel=1e-13)
+        # the time left to the horizon caps the step
+        _, capped = step(g, ch, cfg, 0.5 * want)
+        assert capped == 0.5 * want
+
+
+class TestTransformBudget:
+    """Transforms the solver makes, counted at the names dynamics calls."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"spectrum": 0, "synthesize": 0}
+
+        def counted(name):
+            fn = getattr(fields, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(dynamics, name, counted(name))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grid-value operator called by the solver")
+
+        for name in ("derivative", "helmholtz_inverse", "apply_one_minus_dxx"):
+            monkeypatch.setattr(fields, name, forbidden)
+            monkeypatch.setattr(dynamics, name, forbidden, raising=False)
+        return counts
+
+    @pytest.mark.parametrize(
+        "form, budget",
+        [
+            ("spectral_form", {"spectrum": 4, "synthesize": 4}),
+            ("u_form", {"spectrum": 4, "synthesize": 4}),
+            ("m_form", {"spectrum": 4, "synthesize": 12}),
+        ],
+    )
+    def test_step_budget(self, calls, form, budget):
+        u0 = step_data(256)
+        ch = fields.spectrum(u0.values)
+        step(u0.grid, ch, SolverConfig(T=1.0, rhs_form=form), math.inf)
+        assert calls == budget
+
+    def test_record_makes_one_synthesis(self, calls):
+        # the same five steps, recorded at every step or only at both ends
+        u0 = step_data(256)
+        seen = []
+        for every in (1, 10**9):
+            calls.update(spectrum=0, synthesize=0)
+            rep = evolve(u0, SolverConfig(T=0.05, dt=0.01, monitor_every=every))
+            seen.append((len(rep.times), dict(calls)))
+        (rec_all, all_calls), (rec_ends, end_calls) = seen
+        assert (rec_all, rec_ends) == (6, 2)
+        assert all_calls["synthesize"] - end_calls["synthesize"] == rec_all - rec_ends
+        assert all_calls["spectrum"] == end_calls["spectrum"]
+
+
+class TestNonfiniteStop:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("form", RHS_FORMS)
+    def test_overflow_stops_cleanly(self, form):
+        # a tall bump with a huge fixed step leaves floating point in a few
+        # steps; a tail threshold above 1 never stops the run first
+        g = Grid1D(40.0, 256)
+        u0 = gaussian(g, A=5.0, width=1.0)
+        cfg = SolverConfig(T=2.0, rhs_form=form, dt=0.5, tail_threshold=2.0)
+        rep = evolve(u0, cfg)
+        assert rep.stop_reason == "nonfinite"
+        assert not np.all(np.isfinite(rep.final.values))
 
 
 class TestIntegrator:
@@ -160,7 +289,7 @@ class TestMonitors:
         g = Grid1D(40.0, 512)
         k0 = 4 * math.pi / g.L
         u = RealField(g, np.cos(k0 * g.x))
-        val, loc = min_uxx(u)
+        val, loc = refined_min(g, derivative(u, 2).values)
         assert val == pytest.approx(-(k0**2), rel=1e-6)
         # minima of -k0^2 cos at multiples of the period
         period = 2 * math.pi / k0
@@ -171,7 +300,7 @@ class TestMonitors:
         k0 = 4 * math.pi / g.L
         shift = 0.3714 * g.dx
         u = RealField(g, np.cos(k0 * (g.x - shift)))
-        val, loc = min_uxx(u)
+        val, loc = refined_min(g, derivative(u, 2).values)
         assert val == pytest.approx(-(k0**2), rel=1e-5)
         period = 2 * math.pi / k0
         assert min(abs(loc - (m * period + shift)) for m in range(-4, 5)) < 1e-3
@@ -179,16 +308,17 @@ class TestMonitors:
     def test_tail_fraction_detects_band_edge_mass(self):
         g = Grid1D(40.0, 512)
         low = random_band_limited(g, np.random.default_rng(3), frac=0.2)
-        assert spectral_tail_fraction(low) < 1e-20
+        assert spectral_tail_fraction(g, spectrum(low.values)) < 1e-20
         kcut = (2.0 / 3.0) * g.nyquist
         m = int(round(0.8 * kcut * g.L / math.pi))
         hot = RealField(g, np.cos(m * math.pi / g.L * g.x))
-        assert spectral_tail_fraction(hot) > 0.5
+        assert spectral_tail_fraction(g, spectrum(hot.values)) > 0.5
 
     def test_energy_matches_h1_square(self):
         g = Grid1D(40.0, 256)
         u = gaussian(g)
-        assert energy(u) == pytest.approx(sobolev_norm(u, 1.0) ** 2, rel=1e-14)
+        want = sobolev_norm(u, 1.0) ** 2
+        assert energy(g, spectrum(u.values)) == pytest.approx(want, rel=1e-14)
 
     def test_accumulator_linear_for_steady_curvature(self):
         # a run whose sup-curvature stays constant must produce linear B
@@ -199,44 +329,6 @@ class TestMonitors:
         tt = np.asarray(rep.times)
         slopes = np.diff(B) / np.diff(tt)
         assert np.max(slopes) / np.min(slopes) < 1.1
-
-
-class TestDPShadow:
-    def test_transform_profile(self):
-        g = Grid1D(40.0, 1024)
-        u = peakon_field(g, 0.0, 1.0)
-        v = dp_transform(u)
-        # 2(2 - dx) of the wave is the classic peaked profile -c e^{-|x|};
-        # the spectral slope rings near the kink, so judge away from it
-        expect = -np.exp(-np.abs(g.x))
-        away = (np.abs(g.x) > 1.0) & (np.abs(g.x) < 19.0)
-        assert np.max(np.abs(v.values - expect)[away]) < 1e-3
-        at_crest = np.argmin(np.abs(g.x))
-        assert v.values[at_crest] == pytest.approx(-1.0, abs=0.05)
-
-    def test_residual_drops_with_snapshot_spacing(self):
-        g = Grid1D(40.0, 512)
-        u0 = gaussian(g, A=0.4)
-
-        def resid(every):
-            cfg = SolverConfig(
-                T=0.2, dt=0.002, monitor_every=every, store_snapshots=True
-            )
-            rep = evolve(u0, cfg)
-            fields = [RealField(g, vals) for _, vals in rep.snapshots]
-            times = [t for t, _ in rep.snapshots]
-            mids = dp_residual(times, fields)
-            return mids[len(mids) // 2]
-
-        r_coarse = resid(20)
-        r_fine = resid(10)
-        assert r_fine < r_coarse / 2.5  # ~4x for a 2nd-order difference
-
-    def test_residual_needs_three_frames(self):
-        g = Grid1D(40.0, 256)
-        u = gaussian(g)
-        with pytest.raises(ConfigError):
-            dp_residual([0.0, 0.1], [u, u])
 
 
 class TestStability:

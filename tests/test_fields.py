@@ -19,7 +19,6 @@ from gchlab import (
     ConfigError,
     Grid1D,
     RealField,
-    dealias,
     derivative,
     green_convolve,
     helmholtz_inverse,
@@ -274,14 +273,6 @@ class TestDealiasRefine:
         kept = np.abs(g.k[mask]).max()
         dropped = np.abs(g.k[~mask]).min()
         assert kept <= (2.0 / 3.0) * g.nyquist < dropped
-
-    def test_dealias_idempotent(self):
-        g = grid40(256)
-        rng = np.random.default_rng(37)
-        f = RealField(g, rng.standard_normal(256))
-        once = dealias(f)
-        twice = dealias(once)
-        assert np.max(np.abs(once.values - twice.values)) < 1e-15
 
     def test_refine_preserves_band_limited_values(self):
         g = grid40(128)

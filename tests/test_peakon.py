@@ -9,7 +9,6 @@ from gchlab import (
     ConfigError,
     Grid1D,
     PeakonSolution,
-    SnapshotProvider,
     TestFunction,
     peakon_energy,
     peakon_field,
@@ -194,33 +193,3 @@ class TestWeakResidual:
         sol = PeakonSolution(1.0, L)
         with pytest.raises(ConfigError):
             refinement_study(sol, TestFunction(0.0, 1.0), T=1.0, levels=1)
-
-
-class TestSnapshotProvider:
-    def make_provider(self, n=2048, nt=9, c=1.0, T=1.0):
-        g = Grid1D(L, n)
-        times = np.linspace(0.0, T, nt)
-        frames = np.stack([peakon_u(g.x, t, c, g.L) for t in times])
-        return SnapshotProvider(g, times, frames), g
-
-    def test_matches_analytic_away_from_crest(self):
-        prov, g = self.make_provider()
-        xs = np.linspace(-10.0, -2.0, 57)
-        t = 0.5
-        assert np.max(np.abs(prov.u(t, xs) - peakon_u(xs, t, 1.0, L))) < 1e-3
-        assert np.max(np.abs(prov.w(t, xs) - peakon_w(xs, t, 1.0, L))) < 1e-2
-
-    def test_residual_tracks_analytic_provider(self):
-        prov, g = self.make_provider(nt=33)
-        phi = TestFunction(0.5, 1.5)
-        r = weak_residual(prov, phi, T=1.0, nx=64, nt=64)
-        assert r < 5e-3
-
-    def test_validation(self):
-        g = Grid1D(L, 64)
-        with pytest.raises(ConfigError):
-            SnapshotProvider(g, [0.0, 1.0], np.zeros((2, 65)))
-        with pytest.raises(ConfigError):
-            SnapshotProvider(g, [0.0], np.zeros((1, 64)))
-        with pytest.raises(ConfigError):
-            SnapshotProvider(g, [0.0, 0.5, 0.5], np.zeros((3, 64)))
