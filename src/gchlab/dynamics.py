@@ -309,8 +309,8 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
     """Integrate to the horizon, recording monitors and bound checks.
 
     Stops early with stop_reason "resolution_stop" when the spectral tail
-    fraction crosses cfg.tail_threshold, or "nonfinite" if the state blows
-    past floating point entirely.
+    fraction crosses cfg.tail_threshold, or "nonfinite" if the state, or
+    the energy recorded from it, blows past floating point.
     """
     # loose screen: Green-function tails of box-scale data sit around
     # e^{-L}, which is harmless; only genuine wrap-around should abort
@@ -363,6 +363,9 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
         at_end = t >= cfg.T * (1.0 - 1e-12)
         if steps % cfg.monitor_every == 0 or at_end:
             record(t, ch)
+            if not math.isfinite(rep.energy[-1]):  # finite state, overflowing monitors
+                rep.stop_reason = "nonfinite"
+                break
             if rep.tail_frac[-1] > cfg.tail_threshold:
                 rep.stop_reason = "resolution_stop"
                 break

@@ -434,7 +434,9 @@ def run_experiment(
     _write(outdir, "echo.cfg", canonical_echo(cfg, kind))
     try:
         grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
-        out = RUNNERS[kind](cfg, grid, seed, threads)
+        # runners detect and report non-finite results themselves
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = RUNNERS[kind](cfg, grid, seed, threads)
         for name, text in out.files.items():
             _write(outdir, name, text)
         if cfg["output"]["plot"]:

@@ -54,11 +54,13 @@ class LineChart:
         self.series: list[tuple[str, list[float], list[float]]] = []
 
     def add(self, label: str, xs, ys):
+        """Add a series; points with a non-finite coordinate are not drawn."""
         xs = [float(v) for v in xs]
         ys = [float(v) for v in ys]
         if len(xs) != len(ys):
             raise ValueError("series lengths differ")
-        self.series.append((label, xs, ys))
+        pts = [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
+        self.series.append((label, [x for x, _ in pts], [y for _, y in pts]))
 
     def _bounds(self):
         xs = [v for _, sx, _ in self.series for v in sx]

@@ -323,12 +323,21 @@ class TestRunContract:
         assert rep["summary"]["stop_reason"] == "resolution_stop"
         assert rep["passed"] is False
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("form", ["spectral_form", "m_form", "u_form"])
-    def test_nonfinite_state_fails_cleanly(self, tmp_path, capsys, form):
-        # a tall bump with a huge fixed step leaves floating point in a few steps
+    # A tall bump with a huge fixed step: at T = 2 the state itself leaves
+    # floating point; at T = 1 it stays finite (about 1e200) but its energy
+    # overflows.  The T = 2 cases keep their plain form ids.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "T, form",
+        [
+            pytest.param(T, form, id=form if T == 2.0 else f"{form}-T1")
+            for T in (2.0, 1.0)
+            for form in ("spectral_form", "m_form", "u_form")
+        ],
+    )
+    def test_nonfinite_state_fails_cleanly(self, tmp_path, capsys, T, form):
         text = (
-            "[grid]\nn = 256\n[run]\nT = 2.0\ndt = 0.5\ntail_threshold = 2.0\n"
+            f"[grid]\nn = 256\n[run]\nT = {T}\ndt = 0.5\ntail_threshold = 2.0\n"
             f'rhs_form = "{form}"\n[data]\namplitude = 5.0\n'
         )
         path = write(tmp_path, "nf.cfg", text)
@@ -337,9 +346,21 @@ class TestRunContract:
         captured = capsys.readouterr()
         assert "simulate: FAIL" in captured.out
         assert "Traceback" not in captured.out + captured.err
+        assert (out / "plot.svg").exists()
         rep = json.loads((out / "report.json").read_text())
         assert rep["summary"]["stop_reason"] == "nonfinite"
         assert rep["passed"] is False
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverged_picard_fails_cleanly(self, tmp_path, capsys):
+        # the CFL step of the direct solve collapses; the transport feet
+        # are far off the grid before that
+        path = write(tmp_path, "p.cfg", "[grid]\nn = 256\n[data]\namplitude = 1e150\n")
+        out = tmp_path / "o"
+        assert main(["picard", "--config", path, "--out", str(out)]) == 1
+        assert "run failed: CFL collapse" in capsys.readouterr().err
+        rep = json.loads((out / "report.json").read_text())
+        assert list(rep) == ["kind", "error", "passed"] and rep["passed"] is False
 
     def test_run_time_error_leaves_echo_and_error_report(self, tmp_path, capsys):
         # a width-30 Gaussian on [-40, 40) fails the solver's domain-decay screen

@@ -54,6 +54,28 @@ class TestCubicInterp:
         assert np.max(np.abs(out - expect)) < 1e-7
 
 
+    def test_matches_four_weight_lagrange_form(self):
+        # oracle: the Lagrange weights of the nodes j-1, j, j+1, j+2 of the
+        # point's cell j, each node read modulo n
+        g = Grid1D(math.pi, 64)
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal(g.n)
+        seam = np.array([-g.L, g.L, g.L - 1e-13, -g.L - 1e-13, g.L + 0.5 * g.dx])
+        xq = np.concatenate([rng.uniform(-3.0 * g.L, 3.0 * g.L, 500), seam])
+        s = (xq + g.L) / g.dx
+        j = np.floor(s).astype(np.int64)
+        th = s - j
+        weights = (
+            -th * (th - 1.0) * (th - 2.0) / 6.0,
+            (th * th - 1.0) * (th - 2.0) / 2.0,
+            -th * (th + 1.0) * (th - 2.0) / 2.0,
+            th * (th * th - 1.0) / 6.0,
+        )
+        oracle = sum(w * vals[(j + k - 1) % g.n] for k, w in enumerate(weights))
+        out = cubic_interp_periodic(vals, g, xq)
+        assert np.max(np.abs(out - oracle)) < 1e-14
+
+
 class TestTimeSlices:
     def test_linear_blend(self):
         g = Grid1D(math.pi, 64)
@@ -67,6 +89,26 @@ class TestTimeSlices:
         ts = TimeSlices(g, [0.0, 1.0], frames)
         assert np.all(ts.at(-5.0) == 0.0)
         assert np.all(ts.at(5.0) == 1.0)
+
+    def test_frames_are_a_read_only_copy(self):
+        g = Grid1D(math.pi, 64)
+        frames = np.stack([np.zeros(g.n), np.ones(g.n)])
+        ts = TimeSlices(g, [0.0, 1.0], frames)
+        frames[0] = 7.0
+        assert np.all(ts.frames[0] == 0.0)
+        with pytest.raises(ValueError):
+            ts.frames[0, 0] = 1.0
+
+    def test_sampling_matches_interpolating_the_blend(self):
+        g = Grid1D(math.pi, 128)
+        rng = np.random.default_rng(3)
+        ts = TimeSlices(g, [0.0, 0.4, 1.0], rng.standard_normal((3, g.n)))
+        xq = rng.uniform(-g.L, g.L, 300)
+        # before, on, between and after the slices; 0.7, 0.25, 0.7 revisits
+        # a time after the memo has moved on
+        for t in (-1.0, 0.0, 0.4, 0.7, 0.7, 0.25, 0.7, 1.0, 2.0):
+            expect = cubic_interp_periodic(ts.at(t), g, xq)
+            assert np.max(np.abs(ts(t, xq) - expect)) < 1e-14
 
     def test_shape_and_order_validation(self):
         g = Grid1D(math.pi, 64)
