@@ -115,7 +115,7 @@ class RiccatiTrajectory:
     divergence_time: float
 
 
-def riccati_solve(w0: float, C: float, rel_step: float = RICCATI_REL_STEP) -> RiccatiTrajectory:
+def riccati_solve(w0: float, C: float) -> RiccatiTrajectory:
     """Integrate w' = -w^2 + C^2 adaptively until |w| passes 1e8.
 
     The reported divergence time adds the exact tail 1/|w_stop| of the
@@ -126,8 +126,6 @@ def riccati_solve(w0: float, C: float, rel_step: float = RICCATI_REL_STEP) -> Ri
         raise ConfigError(
             f"need w0 < -C < 0; got w0={w0:.6g}, C={C:.6g}"
         )
-    if not 0 < rel_step < 0.1:
-        raise ConfigError(f"rel_step out of range: {rel_step}")
 
     def f(w: float) -> float:
         return C * C - w * w
@@ -136,7 +134,7 @@ def riccati_solve(w0: float, C: float, rel_step: float = RICCATI_REL_STEP) -> Ri
     ws = [w0]
     t, w = 0.0, w0
     while abs(w) < RICCATI_STOP:
-        dt = rel_step / max(abs(w), C)
+        dt = RICCATI_REL_STEP / max(abs(w), C)
         k1 = f(w)
         k2 = f(w + 0.5 * dt * k1)
         k3 = f(w + 0.5 * dt * k2)
@@ -161,18 +159,14 @@ class BlowupEstimate:
 
 
 def estimate_blowup_time(
-    times, curvature_min=None, window: int = 20, ceiling: float = -1.0
+    times, curvature_min, window: int = 20, ceiling: float = -1.0
 ) -> BlowupEstimate:
     """Fit the line 1/min u_xx ~ a + b t and report its zero crossing.
 
     The -1/2 rate makes the reciprocal asymptotically linear in t, which is
     far better conditioned than fitting the pole directly.  Samples with
-    min u_xx above `ceiling` are discarded as pre-asymptotic.  The first
-    argument may be a RunReport, in which case its monitor series is used.
+    min u_xx above `ceiling` are discarded as pre-asymptotic.
     """
-    if curvature_min is None:
-        curvature_min = times.min_uxx
-        times = times.times
     t = np.asarray(times, dtype=float)
     y = np.asarray(curvature_min, dtype=float)
     keep = y < ceiling
@@ -208,20 +202,13 @@ class RateReport:
     companion_vanishes: bool
 
 
-def rate_report(times, est: BlowupEstimate, curvature_min=None, slope_min=None,
-                window: int | None = None) -> RateReport:
-    """Scaled products min u_xx (T-t) and |min u_x (T-t)| on the window.
-
-    Pass either a RunReport as the first argument or explicit series.
-    """
-    if curvature_min is None:
-        curvature_min = times.min_uxx
-        slope_min = times.min_ux
-        times = times.times
+def rate_report(times, curvature_min, slope_min, est: BlowupEstimate) -> RateReport:
+    """Scaled products min u_xx (T-t) and |min u_x (T-t)| on the window of
+    the estimate."""
     t = np.asarray(times, dtype=float)
     cm = np.asarray(curvature_min, dtype=float)
     sm = np.asarray(slope_min, dtype=float)
-    w = est.window if window is None else window
+    w = est.window
     if w < 3 or w > len(t):
         raise ConfigError(f"window {w} out of range")
     t, cm, sm = t[-w:], cm[-w:], sm[-w:]

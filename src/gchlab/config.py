@@ -36,7 +36,6 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
             "dt": ("float", 0.0),
             "monitor_every": ("int", 10),
             "tail_threshold": ("float", 1e-3),
-            "dealias": ("bool", True),
         },
         "data": {
             "kind": ("str", "gaussian"),
@@ -194,6 +193,17 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
     + (
         ("wave", "speed", lambda v, _: v > 0, "> 0"),
         ("residual", "levels", lambda v, _: v >= 2, ">= 2 (an order fit needs two)"),
+        ("residual", "sigma", lambda v, _: v > 0, "> 0"),
+        # the test function's support [x0 - sigma, x0 + sigma] stays in the box
+        (
+            "residual",
+            "x0",
+            lambda v, cfg: -cfg["grid"]["L"] <= v - cfg["residual"]["sigma"]
+            and v + cfg["residual"]["sigma"] <= cfg["grid"]["L"],
+            "at least [residual] sigma inside [-L, L]",
+        ),
+        ("residual", "nx0", lambda v, _: v >= 4, ">= 4 (quadrature cells)"),
+        ("residual", "nt0", lambda v, _: v >= 4, ">= 4 (quadrature cells)"),
     ),
     "blowup-study": _EVOLVE
     + (
@@ -230,6 +240,7 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
     "besov-audit": _GRID
     + (
         ("corpus", "count", lambda v, _: v >= 1, ">= 1"),
+        ("corpus", "frac", lambda v, _: 0 < v <= 1, "in (0, 1]"),
         (
             "audits",
             "which",
@@ -238,7 +249,12 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
         ),
     ),
     "transport-test": _GRID
-    + (_T, ("run", "levels", lambda v, _: v >= 2, ">= 2 (an order fit needs two)")),
+    + (
+        _T,
+        ("run", "levels", lambda v, _: v >= 2, ">= 2 (an order fit needs two)"),
+        ("run", "dt0", lambda v, _: v > 0, "> 0"),
+        ("audit", "dt", lambda v, _: v > 0, "> 0"),
+    ),
 }
 
 

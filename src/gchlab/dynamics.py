@@ -70,9 +70,9 @@ class _Kernel:
     state, so the threads of a sweep can share it.
     """
 
-    def __init__(self, grid: Grid1D, dealias: bool = True):
+    def __init__(self, grid: Grid1D):
         self.grid = grid
-        self.mask = dealias_mask(grid) if dealias else np.ones(grid.k.shape, dtype=bool)
+        self.mask = dealias_mask(grid)
         # symbols of 2 - dx (u -> w) and 1 - dx^2 (u -> m)
         self.to_w = 2.0 - grid.ik
         self.to_m = 1.0 + grid.k**2
@@ -101,13 +101,13 @@ class _Kernel:
         return (local + (grad * g.ik + sq) * g.helm) * self.mask, 2.0 * u - ux
 
 
-_kernel_cache: dict[tuple[float, int, bool], _Kernel] = {}
+_kernel_cache: dict[tuple[float, int], _Kernel] = {}
 
 
-def _kernel(grid: Grid1D, dealias: bool) -> _Kernel:
-    key = (grid.L, grid.n, dealias)
+def _kernel(grid: Grid1D) -> _Kernel:
+    key = (grid.L, grid.n)
     if key not in _kernel_cache:
-        _kernel_cache[key] = _Kernel(grid, dealias)
+        _kernel_cache[key] = _Kernel(grid)
     return _kernel_cache[key]
 
 
@@ -115,23 +115,22 @@ def _on_grid(rhs, f: RealField) -> RealField:
     return RealField(f.grid, synthesize(rhs(spectrum(f.values))[0]))
 
 
-def rhs_spectral_form(u: RealField, dealias: bool = True) -> RealField:
-    return _on_grid(_kernel(u.grid, dealias).rhs_spectral, u)
+def rhs_spectral_form(u: RealField) -> RealField:
+    return _on_grid(_kernel(u.grid).rhs_spectral, u)
 
 
-def rhs_m_form(m: RealField, dealias: bool = True) -> RealField:
-    return _on_grid(_kernel(m.grid, dealias).rhs_m, m)
+def rhs_m_form(m: RealField) -> RealField:
+    return _on_grid(_kernel(m.grid).rhs_m, m)
 
 
-def rhs_u_form(u: RealField, dealias: bool = True) -> RealField:
-    return _on_grid(_kernel(u.grid, dealias).rhs_u, u)
+def rhs_u_form(u: RealField) -> RealField:
+    return _on_grid(_kernel(u.grid).rhs_u, u)
 
 
 @dataclass
 class SolverConfig:
     T: float
     rhs_form: str = "spectral_form"
-    dealias: bool = True
     dt: float | None = None  # None -> CFL policy
     cfl_sigma: float = 0.3
     monitor_every: int = 10
@@ -182,17 +181,16 @@ def energy(grid: Grid1D, ch: np.ndarray) -> float:
     return float(np.sum((1.0 + grid.k**2) * coefficient_power(grid, ch)))
 
 
-def spectral_tail_fraction(grid: Grid1D, ch: np.ndarray, dealias: bool = True) -> float:
+def spectral_tail_fraction(grid: Grid1D, ch: np.ndarray) -> float:
     """Share of the retained band's H^1 density sitting in its top third,
     read from the coefficients ch = spectrum(u).
 
-    The retained band is |k| <= (2/3) k_Nyquist when dealiasing is active
-    (modes above it are zeroed every step, so they carry no information),
-    the full spectrum otherwise.
+    The retained band is the one the 2/3 rule keeps, |k| <= (2/3) k_Nyquist;
+    modes above it are zeroed every step, so they carry no information.
     """
     g = grid
     dens = (1.0 + g.k**2) * coefficient_power(g, ch)
-    kcut = (2.0 / 3.0) * g.nyquist if dealias else g.nyquist
+    kcut = (2.0 / 3.0) * g.nyquist
     retained = np.abs(g.k) <= kcut
     top = retained & (np.abs(g.k) >= (2.0 / 3.0) * kcut)
     total = float(dens[retained].sum())
@@ -211,7 +209,7 @@ def step(
     t_left, the time left to the horizon.  Returns the coefficients of
     u(t + dt), and dt.
     """
-    kern = _kernel(grid, cfg.dealias)
+    kern = _kernel(grid)
     if cfg.rhs_form == "m_form":
         state = ch * kern.to_m
         rhs = kern.rhs_m
@@ -316,7 +314,7 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
     # e^{-L}, which is harmless; only genuine wrap-around should abort
     check_domain_decay(u0, tol=1e-6)
     g = u0.grid
-    kern = _kernel(g, cfg.dealias)
+    kern = _kernel(g)
     rep = RunReport(grid=g, cfg=cfg)
 
     ch = spectrum(u0.values)
@@ -348,7 +346,7 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
         rep.min_uxx.append(vmin)
         rep.xi.append(xmin)
         rep.min_ux.append(float(np.min(ux)))
-        rep.tail_frac.append(spectral_tail_fraction(g, ch, cfg.dealias))
+        rep.tail_frac.append(spectral_tail_fraction(g, ch))
 
     t = 0.0
     record(t, ch)
@@ -390,7 +388,7 @@ def stability_experiment(
     """Twin evolution; distances are Besov B^{s-1}_{2,2} norms of the
     momentum difference, normalized by the initial distance."""
     g = u0.grid
-    kern = _kernel(g, cfg.dealias)
+    kern = _kernel(g)
     part = partition_for(g)
 
     def distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,6 +12,7 @@ keep amplitude order at any thread count.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
@@ -33,7 +34,13 @@ from .fields import (
     random_band_limited,
 )
 from .lpaley import inequality_audit
-from .peakon import PeakonSolution, TestFunction, peakon_field, refinement_study
+from .peakon import (
+    PeakonSolution,
+    TestFunction,
+    peakon_energy,
+    peakon_field,
+    refinement_study,
+)
 from .svgplot import LineChart
 from .transport import (
     TimeSlices,
@@ -129,7 +136,7 @@ def _series_chart(rep: dyn.RunReport) -> LineChart:
 def _solver_cfg(rcfg: dict) -> dyn.SolverConfig:
     """The solver settings of a [run] section; keys it lacks keep their
     SolverConfig defaults, and dt = 0 picks the CFL policy."""
-    keys = ("T", "rhs_form", "dealias", "cfl_sigma", "monitor_every", "tail_threshold")
+    keys = ("T", "rhs_form", "cfl_sigma", "monitor_every", "tail_threshold")
     return dyn.SolverConfig(
         dt=rcfg.get("dt") or None, **{k: rcfg[k] for k in keys if k in rcfg}
     )
@@ -180,7 +187,7 @@ def run_peakon_verify(
     body = {
         "rel_l2_error": rel_l2,
         "energy_drift_rel": rep.summary()["energy_drift_rel"],
-        "energy_exact_line": c * c / 12.0,
+        "energy_exact_line": peakon_energy(c),
         "residuals": residuals,
         "fitted_order": study.fitted_order,
         "stop_reason": rep.stop_reason,
@@ -229,10 +236,10 @@ def _blowup_single(cfg: dict, grid: Grid1D, amplitude: float):
     }
     try:
         est = bl.estimate_blowup_time(
-            rep, window=cfg["estimate"]["window"], ceiling=ceiling
+            rep.times, rep.min_uxx, window=cfg["estimate"]["window"], ceiling=ceiling
         )
         record["T_est"] = est.T_est
-        rate = bl.rate_report(rep, est)
+        rate = bl.rate_report(rep.times, rep.min_uxx, rep.min_ux, est)
         record["window_mean"] = rate.window_mean
         record["companion_vanishes"] = rate.companion_vanishes
     except EstimationError as exc:
@@ -255,7 +262,12 @@ def run_blowup_study(
 
     amps = sweep_amplitudes(cfg["sweep"]["amplitudes"])
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        members = list(pool.map(sweep_member, amps))  # amplitude order
+        # numpy keeps its error state in a context variable, and pool threads
+        # start in an empty context: each member runs in a copy of this one
+        futures = [
+            pool.submit(contextvars.copy_context().run, sweep_member, a) for a in amps
+        ]
+        members = [f.result() for f in futures]  # amplitude order
     sweep = [rec for rec, _ in members]
     files = {"series.csv": rep.to_csv()}
     for i, (_, text) in enumerate(members):
@@ -290,7 +302,6 @@ def run_picard(cfg: dict, grid: Grid1D, seed: int | None, threads: int) -> Outco
         s=rcfg["s"],
         dt=rcfg["dt"] or None,  # 0 picks T/200
         n_slices=rcfg["n_slices"],
-        keep_iterates=True,
     )
     # direct solve from u0 = (1-dx^2)^{-1} m0, compared at the final time;
     # [run] dt is the transport step, so the solver keeps its CFL policy
@@ -299,8 +310,7 @@ def run_picard(cfg: dict, grid: Grid1D, seed: int | None, threads: int) -> Outco
         dyn.SolverConfig(T=rcfg["T"], rhs_form="m_form", monitor_every=1000000),
     )
     m_direct = apply_one_minus_dxx(direct.final)
-    m_last = pr.iterates[-1].frames[-1]
-    direct_gap = lp_norm(RealField(grid, m_last - m_direct.values), 2.0)
+    direct_gap = lp_norm(RealField(grid, pr.final_frame - m_direct.values), 2.0)
 
     chart = LineChart("iterate distances", "n", "d_n", logy=True)
     chart.add("d_n", range(1, len(pr.d) + 1), pr.d)

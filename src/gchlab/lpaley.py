@@ -173,15 +173,9 @@ def besov_norm(
     return float(np.sum(terms**r) ** (1.0 / r))
 
 
-def reconstruct(blocks, part: DyadicPartition | None = None) -> RealField:
-    """Sum dyadic blocks back into one field.
-
-    Accepts the list produced by dyadic_block over part.blocks, or a single
-    field (which is decomposed and resummed — the round-trip identity).
-    """
-    if isinstance(blocks, RealField):
-        part = part or partition_for(blocks.grid)
-        blocks = [dyadic_block(blocks, j, part) for j in part.blocks]
+def reconstruct(blocks: list[RealField]) -> RealField:
+    """Sum dyadic blocks, as dyadic_block gives them over part.blocks, back
+    into one field."""
     if not blocks:
         raise ConfigError("nothing to reconstruct")
     total = np.zeros(blocks[0].grid.n)
@@ -201,7 +195,7 @@ def _lam(f: RealField, s: float) -> RealField:
 @dataclass
 class AuditReport:
     audit_id: str
-    params: dict
+    params: dict  # an infinite exponent (Besov r = inf) is stored as None
     ratios: list[float]
     fitted_constant: float
     refinement_ratio: float
@@ -209,14 +203,9 @@ class AuditReport:
     passed: bool
 
     def to_json(self) -> dict:
-        """JSON-ready dict; infinite params (Besov r = inf) become None."""
-        clean_params = {
-            k: (None if isinstance(v, float) and math.isinf(v) else v)
-            for k, v in self.params.items()
-        }
         return {
             "audit_id": self.audit_id,
-            "params": clean_params,
+            "params": self.params,
             "ratios": [float(r) for r in self.ratios],
             "fitted_constant": float(self.fitted_constant),
             "refinement_ratio": float(self.refinement_ratio),
@@ -289,7 +278,7 @@ _AUDIT_DEFAULTS = {
 
 
 def inequality_audit(
-    corpus: list[RealField], which: str, refine: bool = True, **overrides
+    corpus: list[RealField], which: str, refine: bool = True
 ) -> AuditReport:
     """Fit the sharpest constant observed for one textbook inequality.
 
@@ -305,8 +294,7 @@ def inequality_audit(
     g0 = corpus[0].grid
     if any(f.grid.n != g0.n or f.grid.L != g0.L for f in corpus):
         raise ConfigError("audit corpus must share one grid")
-    params = dict(_AUDIT_DEFAULTS[which])
-    params.update(overrides)
+    params = _AUDIT_DEFAULTS[which]
     ratios = _audit_ratios(corpus, which, params)
     fitted = max(ratios)
     ref_ratio = 1.0

@@ -10,9 +10,8 @@ so w = (2-dx)u = -(c/2) e^{-|x-ct|} and the momentum m = u - u_xx vanishes
 identically ahead of the crest and equals -c e^{2(x-ct)} behind it.
 
 The whole family is the lambda-scaling u_c(t,x) = c u_1(ct,x) of the unit
-wave, so negative speeds give valid (left-moving, sign-flipped) solutions
-too; they are gated behind allow_negative_speed since the equation itself
-is not reflection symmetric and the c<0 branch is easy to reach by typo.
+wave.  Only right-moving waves, c > 0, are built: the equation is not
+reflection symmetric, and a c <= 0 is far more often a typo than intended.
 
 Weak residual: for compactly supported smooth phi,
 
@@ -35,23 +34,17 @@ from .fields import Grid1D, RealField
 BUMP_EDGE_TOL = 1e-12
 
 
-def _check_speed(c: float, allow_negative_speed: bool):
-    if c == 0.0:
-        raise ConfigError("wave speed c must be nonzero")
-    if c < 0.0 and not allow_negative_speed:
-        raise ConfigError(
-            "negative speed gives the mirrored left-moving wave; "
-            "pass allow_negative_speed=True if that is intended"
-        )
+def _check_speed(c: float):
+    if c <= 0.0:
+        raise ConfigError(f"wave speed c must be positive, got {c}")
 
 
 def _wrap(xi: np.ndarray, L: float) -> np.ndarray:
     return (xi + L) % (2.0 * L) - L
 
 
-def peakon_u(x: np.ndarray, t: float, c: float, L: float,
-             allow_negative_speed: bool = False) -> np.ndarray:
-    _check_speed(c, allow_negative_speed)
+def peakon_u(x: np.ndarray, t: float, c: float, L: float) -> np.ndarray:
+    _check_speed(c)
     xi = _wrap(np.asarray(x, dtype=float) - c * t, L)
     ahead = xi >= 0.0
     out = np.empty_like(xi)
@@ -61,16 +54,14 @@ def peakon_u(x: np.ndarray, t: float, c: float, L: float,
     return out
 
 
-def peakon_w(x: np.ndarray, t: float, c: float, L: float,
-             allow_negative_speed: bool = False) -> np.ndarray:
-    _check_speed(c, allow_negative_speed)
+def peakon_w(x: np.ndarray, t: float, c: float, L: float) -> np.ndarray:
+    _check_speed(c)
     xi = _wrap(np.asarray(x, dtype=float) - c * t, L)
     return -(c / 2.0) * np.exp(-np.abs(xi))
 
 
-def peakon_m(x: np.ndarray, t: float, c: float, L: float,
-             allow_negative_speed: bool = False) -> np.ndarray:
-    _check_speed(c, allow_negative_speed)
+def peakon_m(x: np.ndarray, t: float, c: float, L: float) -> np.ndarray:
+    _check_speed(c)
     xi = _wrap(np.asarray(x, dtype=float) - c * t, L)
     out = np.zeros_like(xi)
     behind = xi < 0.0
@@ -78,9 +69,8 @@ def peakon_m(x: np.ndarray, t: float, c: float, L: float,
     return out
 
 
-def peakon_field(grid: Grid1D, t: float, c: float,
-                 allow_negative_speed: bool = False) -> RealField:
-    return RealField(grid, peakon_u(grid.x, t, c, grid.L, allow_negative_speed))
+def peakon_field(grid: Grid1D, t: float, c: float) -> RealField:
+    return RealField(grid, peakon_u(grid.x, t, c, grid.L))
 
 
 def peakon_energy(c: float) -> float:
@@ -91,17 +81,16 @@ def peakon_energy(c: float) -> float:
 class PeakonSolution:
     """Exact-solution provider for the weak residual quadrature."""
 
-    def __init__(self, c: float, L: float, allow_negative_speed: bool = False):
-        _check_speed(c, allow_negative_speed)
+    def __init__(self, c: float, L: float):
+        _check_speed(c)
         self.c = c
         self.L = L
-        self._neg = allow_negative_speed
 
     def u(self, t: float, x: np.ndarray) -> np.ndarray:
-        return peakon_u(x, t, self.c, self.L, self._neg)
+        return peakon_u(x, t, self.c, self.L)
 
     def w(self, t: float, x: np.ndarray) -> np.ndarray:
-        return peakon_w(x, t, self.c, self.L, self._neg)
+        return peakon_w(x, t, self.c, self.L)
 
     def crest(self, t: float) -> float:
         return float(_wrap(np.array([self.c * t]), self.L)[0])
@@ -126,15 +115,15 @@ class TestFunction:
         self.sigma = sigma
         self.poly = tuple(float(p) for p in poly)
 
-    def _P(self, t: float) -> float:
+    def time_factor(self, t: float) -> tuple[float, float]:
+        """P(t) and P'(t)."""
         p = self.poly
-        return p[0] + t * (p[1] + t * (p[2] + t * p[3]))
+        P = p[0] + t * (p[1] + t * (p[2] + t * p[3]))
+        return P, p[1] + t * (2.0 * p[2] + 3.0 * t * p[3])
 
-    def _Pt(self, t: float) -> float:
-        p = self.poly
-        return p[1] + t * (2.0 * p[2] + 3.0 * t * p[3])
-
-    def _bump(self, x: np.ndarray):
+    def bump(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The profile b at x and its first two x-derivatives, from one
+        evaluation; phi = P b, so phi_x = P b', phi_txx = P' b'' and so on."""
         s = (np.asarray(x, dtype=float) - self.x0) / self.sigma
         r = 1.0 - s * s
         inside = r > BUMP_EDGE_TOL
@@ -147,24 +136,6 @@ class TestFunction:
         b1[inside] = bi * (-2.0 * si / ri**2)
         b2[inside] = bi * (4.0 * si**2 / ri**4 - 2.0 / ri**2 - 8.0 * si**2 / ri**3)
         return b, b1 / self.sigma, b2 / self.sigma**2
-
-    def phi(self, t, x):
-        return self._P(t) * self._bump(x)[0]
-
-    def phi_t(self, t, x):
-        return self._Pt(t) * self._bump(x)[0]
-
-    def phi_x(self, t, x):
-        return self._P(t) * self._bump(x)[1]
-
-    def phi_xx(self, t, x):
-        return self._P(t) * self._bump(x)[2]
-
-    def phi_tx(self, t, x):
-        return self._Pt(t) * self._bump(x)[1]
-
-    def phi_txx(self, t, x):
-        return self._Pt(t) * self._bump(x)[2]
 
     @property
     def support(self) -> tuple[float, float]:
@@ -181,7 +152,7 @@ def _x_nodes(phi: TestFunction, nx: int, crest: float | None) -> np.ndarray:
 
 def weak_residual(
     provider,
-    phi,
+    phi: TestFunction,
     T: float,
     nx: int = 64,
     nt: int = 64,
@@ -189,14 +160,9 @@ def weak_residual(
 ) -> float:
     """Absolute defect of the weak identity under trapezoid quadrature.
 
-    Accepts one test function or a list; a list reports the worst defect.
+    Each time line evaluates the bump once; the endpoint terms are read off
+    the first and last lines.
     """
-    if isinstance(phi, (list, tuple)):
-        if not phi:
-            raise ConfigError("need at least one test function")
-        return max(
-            weak_residual(provider, p, T, nx, nt, crest_split) for p in phi
-        )
     if T <= 0:
         raise ConfigError(f"horizon must be positive, got T={T}")
     if nx < 4 or nt < 4:
@@ -206,24 +172,19 @@ def weak_residual(
         raise ConfigError("test function support leaves the domain")
     ts = np.linspace(0.0, T, nt + 1)
     lines = np.empty(nt + 1)
+    ends = []
     for i, t in enumerate(ts):
-        crest = provider.crest(t) if crest_split else None
-        xs = _x_nodes(phi, nx, crest)
-        uv = provider.u(t, xs)
-        wv = provider.w(t, xs)
-        integ = uv * (phi.phi_t(t, xs) - phi.phi_txx(t, xs))
-        integ += wv * wv * (phi.phi_xx(t, xs) - 2.0 * phi.phi_x(t, xs))
-        lines[i] = np.trapezoid(integ, xs)
+        xs = _x_nodes(phi, nx, provider.crest(t) if crest_split else None)
+        bv, b1, b2 = phi.bump(xs)
+        P, Pt = phi.time_factor(t)
+        w = provider.w(t, xs)
+        # u (phi - phi_xx) without its time factor
+        ub = provider.u(t, xs) * (bv - b2)
+        lines[i] = np.trapezoid(Pt * ub + P * w * w * (b2 - 2.0 * b1), xs)
+        if i in (0, nt):
+            ends.append(P * np.trapezoid(ub, xs))
     lhs = float(np.trapezoid(lines, ts))
-
-    def endpoint(t: float) -> float:
-        crest = provider.crest(t) if crest_split else None
-        xs = _x_nodes(phi, nx, crest)
-        uv = provider.u(t, xs)
-        return float(np.trapezoid(uv * (phi.phi(t, xs) - phi.phi_xx(t, xs)), xs))
-
-    rhs = endpoint(T) - endpoint(0.0)
-    return abs(lhs - rhs)
+    return abs(lhs - float(ends[1] - ends[0]))
 
 
 @dataclass

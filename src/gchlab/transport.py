@@ -234,7 +234,6 @@ def solve_transport(
 class AprioriReport:
     fitted_C: float
     ratios: np.ndarray
-    ratios_refined: np.ndarray
     refinement_drift: float
     passed: bool
 
@@ -243,7 +242,6 @@ def transport_apriori_audit(
     tp: TransportProblem,
     dt: float,
     s: float = 0.5,
-    n_checks: int = 9,
 ) -> AprioriReport:
     """Fit the smallest C >= 0 making the transport growth bound hold.
 
@@ -253,11 +251,12 @@ def transport_apriori_audit(
                           + int_0^t e^{-CV(tau)} ||g(tau)||_{B^s} dtau ).
 
     A-priori theory guarantees some finite C; the audit fits it by
-    bisection and checks it is stable under halving dt.
+    bisection at nine evenly spaced times and checks it is stable under
+    halving dt.
     """
     g = tp.grid
     part = partition_for(g)
-    out_times = np.linspace(0.0, tp.T, n_checks)
+    out_times = np.linspace(0.0, tp.T, 9)
 
     def ratios_for(dt_run: float) -> np.ndarray:
         sol = solve_transport(tp, dt_run, out_times)
@@ -312,10 +311,10 @@ def transport_apriori_audit(
         return lhs / np.maximum(rhs_for(hi), 1e-300), hi
 
     ratios, C = ratios_for(dt)
-    ratios_ref, C_ref = ratios_for(0.5 * dt)
+    C_ref = ratios_for(0.5 * dt)[1]
     drift = abs(C_ref - C) / max(C, 1.0)
     passed = bool(np.all(ratios <= 1.0 + 1e-9)) and drift < 0.5
-    return AprioriReport(C, ratios, ratios_ref, drift, passed)
+    return AprioriReport(C, ratios, drift, passed)
 
 
 def picard_bound(m0_norm: float, C: float, T: float) -> float:
@@ -337,7 +336,7 @@ class PicardReport:
     fitted_C: float
     bound: float | None
     smallness_ok: bool
-    iterates: list[TimeSlices]
+    final_frame: np.ndarray  # the last iterate at time T
 
 
 def picard_run(
@@ -347,7 +346,6 @@ def picard_run(
     s: float = 1.5,
     dt: float | None = None,
     n_slices: int = 17,
-    keep_iterates: bool = False,
 ) -> PicardReport:
     """Run the frozen-coefficient iteration on the momentum datum m0.
 
@@ -369,7 +367,6 @@ def picard_run(
     prev = TimeSlices(g, times, np.tile(m0.values, (len(times), 1)))
     d: list[float] = []
     sups: list[float] = [m0_norm]
-    kept: list[TimeSlices] = [prev] if keep_iterates else []
     for it in range(1, n_iter + 1):
         vel, src = momentum_coefficients(g, prev.frames, spectrum(prev.frames))
         tp = TransportProblem(
@@ -387,8 +384,6 @@ def picard_run(
                 for fr in cur.frames
             )
         )
-        if keep_iterates:
-            kept.append(cur)
         prev = cur
     ratios = [d[i + 1] / d[i] if d[i] > 0 else 0.0 for i in range(len(d) - 1)]
 
@@ -421,4 +416,6 @@ def picard_run(
             fitted_C = float("inf")
             bound = None
             small_ok = False
-    return PicardReport(times, d, ratios, sups, fitted_C, bound, small_ok, kept)
+    return PicardReport(
+        times, d, ratios, sups, fitted_C, bound, small_ok, prev.frames[-1]
+    )

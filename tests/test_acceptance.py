@@ -100,18 +100,18 @@ def steep_lab():
     ceiling = 2.0 * cond.w_curvature
     cfg = dict(cfl_sigma=0.05, monitor_every=1, tail_threshold=1e-4)
     coarse = _pool("steep_4096", evolve(steep(4096), SolverConfig(T=T, **cfg)))
-    est_c = estimate_blowup_time(coarse, window=20, ceiling=ceiling)
+    est_c = estimate_blowup_time(coarse.times, coarse.min_uxx, window=20, ceiling=ceiling)
     fine = _pool(
         "steep_8192",
         evolve(steep(8192), SolverConfig(T=coarse.times[-1], **cfg)),
     )
-    est_f = estimate_blowup_time(fine, window=20, ceiling=ceiling)
+    est_f = estimate_blowup_time(fine.times, fine.min_uxx, window=20, ceiling=ceiling)
     return {
         "cond": cond,
         "coarse": coarse,
         "fine": fine,
-        "rate_coarse": rate_report(coarse, est_c),
-        "rate_fine": rate_report(fine, est_f),
+        "rate_coarse": rate_report(coarse.times, coarse.min_uxx, coarse.min_ux, est_c),
+        "rate_fine": rate_report(fine.times, fine.min_uxx, fine.min_ux, est_f),
         "est_coarse": est_c,
     }
 
@@ -121,7 +121,7 @@ def picard_lab():
     g = Grid1D(20.0, 1024)
     m0 = RealField(g, 0.2 * np.exp(-g.x**2 / 2.0))
     T = 0.25
-    rep = picard_run(m0, T=T, n_iter=10, keep_iterates=True)
+    rep = picard_run(m0, T=T, n_iter=10)
     direct = _pool(
         "picard_direct",
         evolve(
@@ -130,7 +130,7 @@ def picard_lab():
         ),
     )
     m_direct = apply_one_minus_dxx(direct.final)
-    gap = lp_norm(RealField(g, rep.iterates[-1].frames[-1] - m_direct.values), 2.0)
+    gap = lp_norm(RealField(g, rep.final_frame - m_direct.values), 2.0)
     return rep, gap
 
 

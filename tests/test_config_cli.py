@@ -1,13 +1,25 @@
 """Config grammar, canonical echo, CLI exit codes, artifact determinism."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gchlab import ConfigError
+from gchlab import ConfigError, experiments
 from gchlab.cli import main
-from gchlab.config import KINDS, canonical_echo, default_config, parse_config
+from gchlab.config import (
+    KINDS,
+    RANGES,
+    SCHEMAS,
+    canonical_echo,
+    default_config,
+    parse_config,
+)
 
 SIM_SMOKE = """
 [grid]
@@ -116,6 +128,111 @@ class TestEcho:
         assert again["run"]["T"] == cfg["run"]["T"]
 
 
+# Property tests of the grammar: deterministic and small, so they stay in
+# the fast suite.  The range property runs once per numeric range entry.
+ECHO = settings(derandomize=True, max_examples=30, deadline=None)
+RANGE = settings(derandomize=True, max_examples=10, deadline=None)
+
+# values per schema type; the first strategy of each sits near the edges of
+# the ranges
+VALUES = {
+    "float": st.floats(-4.0, 4.0) | st.floats(allow_nan=False, allow_infinity=False),
+    "int": st.integers(-4, 40)
+    | st.integers(-(10**9), 10**9)
+    | st.integers(0, 14).map(lambda j: 2**j),
+    "bool": st.booleans(),
+    # printable, without the quote a string cannot hold
+    "str": st.text(
+        st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters='"'),
+        max_size=12,
+    ),
+}
+
+
+def _text(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, str):
+        return f'"{v}"'
+    return repr(v)
+
+
+def _document(cfg: dict) -> str:
+    """A config document that sets every key of cfg."""
+    lines = []
+    for sec, keys in cfg.items():
+        lines.append(f"[{sec}]")
+        lines += [f"{key} = {_text(v)}" for key, v in keys.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _in_range(cfg: dict, kind: str) -> bool:
+    return all(ok(cfg[sec][key], cfg) for sec, key, ok, _ in RANGES[kind])
+
+
+@st.composite
+def in_range_configs(draw, kind):
+    """A config of `kind` with drawn values for a drawn subset of its keys;
+    a value out of its range goes back to the key's default."""
+    schema = SCHEMAS[kind]
+    cfg = default_config(kind)
+    for sec, keys in schema.items():
+        for key, (ty, _) in keys.items():
+            if draw(st.booleans()):
+                cfg[sec][key] = draw(VALUES[ty])
+    for sec, key, ok, _ in RANGES[kind]:
+        if not ok(cfg[sec][key], cfg):
+            cfg[sec][key] = schema[sec][key][1]
+    # a default can still clash with a drawn key it depends on
+    assume(_in_range(cfg, kind))
+    return cfg
+
+
+NUMERIC_RANGES = [
+    pytest.param(kind, sec, key, id=f"{kind}-{sec}.{key}")
+    for kind, entries in RANGES.items()
+    for sec, key, _, _ in entries
+    if SCHEMAS[kind][sec][key][0] in ("int", "float")
+]
+
+
+class TestGrammarProperties:
+    @pytest.mark.parametrize("kind", KINDS)
+    @ECHO
+    @given(data=st.data())
+    def test_parse_echo_parse_is_exact(self, data, kind):
+        cfg = data.draw(in_range_configs(kind))
+        parsed = parse_config(_document(cfg), kind)
+        assert parsed == cfg
+        assert parse_config(canonical_echo(parsed, kind), kind) == parsed
+
+    @pytest.mark.parametrize("kind,sec,key", NUMERIC_RANGES)
+    @RANGE
+    @given(data=st.data())
+    def test_range_rejects_exactly_out_of_range_values(self, data, kind, sec, key):
+        v = data.draw(VALUES[SCHEMAS[kind][sec][key][0]])
+        cfg = default_config(kind)
+        cfg[sec][key] = v
+        text = f"[{sec}]\n{key} = {_text(v)}\n"
+        if _in_range(cfg, kind):
+            assert parse_config(text, kind) == cfg
+            return
+        with pytest.raises(ConfigError):
+            parse_config(text, kind)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r.cfg")
+            with open(path, "w") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "o")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main([kind, "--config", path, "--out", out])
+            assert rc == 2
+            assert "config error" in err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            assert not os.path.exists(out)
+
+
 class TestCli:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "absent.cfg")])
@@ -203,6 +320,16 @@ class TestCli:
             ("blowup-study", '[sweep]\namplitudes = "0.05,abc"\n'),
             ("simulate", "[grid]\nn = 100\n"),
             ("besov-audit", "[grid]\nL = 0.0\n"),
+            ("transport-test", "[run]\ndt0 = 0.0\n"),
+            ("transport-test", "[run]\ndt0 = -0.5\n"),
+            ("transport-test", "[audit]\ndt = 0.0\n"),
+            ("besov-audit", "[corpus]\nfrac = 0.0\n"),
+            ("besov-audit", "[corpus]\nfrac = 1.5\n"),
+            ("peakon-verify", "[residual]\nsigma = 0.0\n"),
+            ("peakon-verify", "[residual]\nnt0 = 2\n"),
+            ("peakon-verify", "[residual]\nnx0 = 2\n"),
+            # the test function's support [37.5, 40.5] leaves [-40, 40)
+            ("peakon-verify", "[residual]\nx0 = 39.0\n"),
         ],
     )
     def test_range_fails_at_load_time(self, tmp_path, capsys, kind, text):
@@ -241,6 +368,13 @@ class TestCli:
         assert cfg["audits"]["which"] == "morse, embedding"
         cfg = parse_config('[sweep]\namplitudes = " 0.3, 0.1 ,"\n', "blowup-study")
         assert cfg["sweep"]["amplitudes"] == " 0.3, 0.1 ,"
+        # the support [x0 - sigma, x0 + sigma] may touch either end of the box
+        for x0 in (38.5, -38.5):
+            text = f"[residual]\nx0 = {x0}\nsigma = 1.5\nnx0 = 4\nnt0 = 4\n"
+            cfg = parse_config(text, "peakon-verify")
+            assert (cfg["residual"]["x0"], cfg["residual"]["nx0"]) == (x0, 4)
+        cfg = parse_config("[corpus]\nfrac = 1.0\n", "besov-audit")
+        assert cfg["corpus"]["frac"] == 1.0
 
     def test_picard_range_edges_accepted(self):
         cfg = parse_config(
@@ -361,6 +495,22 @@ class TestRunContract:
         assert "run failed: CFL collapse" in capsys.readouterr().err
         rep = json.loads((out / "report.json").read_text())
         assert list(rep) == ["kind", "error", "passed"] and rep["passed"] is False
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sweep_members_keep_the_error_state(self, tmp_path, monkeypatch):
+        # run_experiment ignores floating-point overflow; the sweep's pool
+        # threads must run under the same error state
+        single = experiments._blowup_single
+
+        def overflowing(cfg, grid, amplitude):
+            np.full(2, 1e300) * 1e300
+            return single(cfg, grid, amplitude)
+
+        monkeypatch.setattr(experiments, "_blowup_single", overflowing)
+        text = BLOWUP_SMOKE + '[sweep]\namplitudes = "0.05,0.03"\n'
+        path = write(tmp_path, "bs.cfg", text)
+        out = str(tmp_path / "o")
+        assert main(["blowup-study", "--config", path, "--out", out, "--threads", "2"]) == 0
 
     def test_run_time_error_leaves_echo_and_error_report(self, tmp_path, capsys):
         # a width-30 Gaussian on [-40, 40) fails the solver's domain-decay screen

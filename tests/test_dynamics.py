@@ -357,5 +357,5 @@ class TestStability:
     def test_identical_data_short_circuits(self):
         g = Grid1D(40.0, 256)
         u0 = gaussian(g)
-        rep = stability_experiment(u0, u0.copy(), SolverConfig(T=0.2))
+        rep = stability_experiment(u0, gaussian(g), SolverConfig(T=0.2))
         assert rep.perfect_match

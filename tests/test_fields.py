@@ -278,7 +278,7 @@ class TestDealiasRefine:
         g = grid40(128)
         rng = np.random.default_rng(41)
         f = random_band_limited(g, rng)
-        fine = refine_field(f, 2)
+        fine = refine_field(f)
         assert fine.grid.n == 256
         # coarse nodes are every second fine node
         assert np.max(np.abs(fine.values[::2] - f.values)) < 1e-12
@@ -294,12 +294,6 @@ class TestDealiasRefine:
         for vals in (0.3 + (-1.0) ** np.arange(n), rng.standard_normal(n)):
             f = RealField(g, vals)
             assert np.max(np.abs(refine_field(f).values[::2] - f.values)) <= 1e-12
-
-    def test_refine_rejects_bad_factor(self):
-        g = grid40(128)
-        f = RealField(g, np.zeros(128))
-        with pytest.raises(ConfigError):
-            refine_field(f, 3)
 
 
 class TestRandomCorpus:

@@ -93,12 +93,6 @@ class TestWaveProfile:
         b = peakon_u(xs - c * t, 0.0, c, L)
         assert np.max(np.abs(a - b)) < 1e-14
 
-    def test_negative_speed_is_mirrored_scaling(self):
-        xs = np.linspace(-L, L, 101, endpoint=False)
-        a = peakon_u(xs, 0.3, -1.0, L, allow_negative_speed=True)
-        b = -peakon_u(xs, -0.3, 1.0, L)
-        assert np.max(np.abs(a - b)) < 1e-14
-
     def test_speed_guards(self):
         xs = np.zeros(3)
         with pytest.raises(ConfigError):
@@ -107,8 +101,8 @@ class TestWaveProfile:
             peakon_u(xs, 0.0, -1.0, L)
         with pytest.raises(ConfigError):
             peakon_field(Grid1D(L, 64), 0.0, -2.0)
-        # allowed when asked for explicitly
-        peakon_u(xs, 0.0, -1.0, L, allow_negative_speed=True)
+        with pytest.raises(ConfigError):
+            PeakonSolution(-1.0, L)
 
     def test_energy_scaling(self):
         assert peakon_energy(1.0) == pytest.approx(1.0 / 12.0)
@@ -125,23 +119,30 @@ class TestTestFunction:
         phi = TestFunction(0.5, 1.5, poly=(1.0, 0.5, -0.25, 0.125))
         xs = np.linspace(-0.8, 1.7, 17)
         t, h = 0.4, 1e-6
-        fd_x = (phi.phi(t, xs + h) - phi.phi(t, xs - h)) / (2 * h)
-        assert np.max(np.abs(fd_x - phi.phi_x(t, xs))) < 1e-5
-        fd_xx = (phi.phi(t, xs + h) - 2 * phi.phi(t, xs) + phi.phi(t, xs - h)) / h**2
-        assert np.max(np.abs(fd_xx - phi.phi_xx(t, xs))) < 1e-3
-        fd_t = (phi.phi(t + h, xs) - phi.phi(t - h, xs)) / (2 * h)
-        assert np.max(np.abs(fd_t - phi.phi_t(t, xs))) < 1e-8
-        fd_tx = (phi.phi_x(t + h, xs) - phi.phi_x(t - h, xs)) / (2 * h)
-        assert np.max(np.abs(fd_tx - phi.phi_tx(t, xs))) < 1e-7
-        fd_txx = (phi.phi_xx(t + h, xs) - phi.phi_xx(t - h, xs)) / (2 * h)
-        assert np.max(np.abs(fd_txx - phi.phi_txx(t, xs))) < 1e-6
+
+        def dx_phi(t, x, order):  # x-derivative of phi = P b of the given order
+            return phi.time_factor(t)[0] * phi.bump(x)[order]
+
+        def dt_dx_phi(order):  # the same with P' for P, at (t, xs)
+            return phi.time_factor(t)[1] * phi.bump(xs)[order]
+
+        fd_x = (dx_phi(t, xs + h, 0) - dx_phi(t, xs - h, 0)) / (2 * h)
+        assert np.max(np.abs(fd_x - dx_phi(t, xs, 1))) < 1e-5
+        fd_xx = (dx_phi(t, xs + h, 0) - 2 * dx_phi(t, xs, 0) + dx_phi(t, xs - h, 0)) / h**2
+        assert np.max(np.abs(fd_xx - dx_phi(t, xs, 2))) < 1e-3
+        fd_t = (dx_phi(t + h, xs, 0) - dx_phi(t - h, xs, 0)) / (2 * h)
+        assert np.max(np.abs(fd_t - dt_dx_phi(0))) < 1e-8
+        fd_tx = (dx_phi(t + h, xs, 1) - dx_phi(t - h, xs, 1)) / (2 * h)
+        assert np.max(np.abs(fd_tx - dt_dx_phi(1))) < 1e-7
+        fd_txx = (dx_phi(t + h, xs, 2) - dx_phi(t - h, xs, 2)) / (2 * h)
+        assert np.max(np.abs(fd_txx - dt_dx_phi(2))) < 1e-6
 
     def test_support_is_compact(self):
         phi = TestFunction(2.0, 0.5)
         assert phi.support == (1.5, 2.5)
         xs = np.array([1.5, 2.5, 0.0, 3.0, -10.0])
-        for f in (phi.phi, phi.phi_x, phi.phi_xx):
-            assert np.all(f(0.3, xs) == 0.0)
+        for b in phi.bump(xs):
+            assert np.all(b == 0.0)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -169,15 +170,6 @@ class TestWeakResidual:
         plain = weak_residual(sol, phi, T=1.0, nx=64, nt=64, crest_split=False)
         split = weak_residual(sol, phi, T=1.0, nx=64, nt=64, crest_split=True)
         assert split <= plain * 1.5  # never much worse, usually better
-
-    def test_list_of_test_functions_reports_worst(self):
-        sol = PeakonSolution(1.0, L)
-        phis = [TestFunction(0.5, 1.5), TestFunction(-1.0, 2.5)]
-        worst = weak_residual(sol, phis, T=0.5, nx=32, nt=32)
-        singles = [weak_residual(sol, p, T=0.5, nx=32, nt=32) for p in phis]
-        assert worst == max(singles)
-        with pytest.raises(ConfigError):
-            weak_residual(sol, [], T=0.5)
 
     def test_quadrature_validation(self):
         sol = PeakonSolution(1.0, L)

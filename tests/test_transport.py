@@ -307,8 +307,8 @@ class TestPicard:
         g = Grid1D(20.0, 512)
         m0 = RealField(g, 0.15 * np.exp(-(g.x**2) / 4.0))
         T = 0.25
-        rep = picard_run(m0, T=T, n_iter=10, keep_iterates=True)
-        final_picard = rep.iterates[-1].frames[-1]
+        rep = picard_run(m0, T=T, n_iter=10)
+        final_picard = rep.final_frame
 
         u0 = helmholtz_inverse(m0)
         cfg = SolverConfig(T=T, rhs_form="m_form", dt=T / 400.0, monitor_every=10**9)
