@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .dynamics import RHS_FORMS
+from .dynamics import MAX_STEPS, RHS_FORMS
 from .errors import ConfigError
 from .lpaley import AUDIT_IDS
 
@@ -171,8 +171,20 @@ _GRID = (
     ("grid", "L", lambda v, _: v > 0, "> 0"),
     ("grid", "n", lambda v, _: v >= 16 and v & (v - 1) == 0, "a power of two >= 16"),
 )
+
+
+def _steps_ok(T: float, dt: float) -> bool:
+    """A horizon T in steps of dt plans at most dynamics.MAX_STEPS steps."""
+    return T <= MAX_STEPS * dt
+
+
 _T = ("run", "T", lambda v, _: v > 0, "> 0")
-_DT = ("run", "dt", lambda v, _: v >= 0, ">= 0 (0 picks the default step)")
+_DT = (
+    "run",
+    "dt",
+    lambda v, cfg: v == 0 or (v > 0 and _steps_ok(cfg["run"]["T"], v)),
+    f"0 (the default step) or > 0 with [run] T / dt <= {MAX_STEPS}",
+)
 _WIDTH = ("data", "width", lambda v, _: v > 0, "> 0")
 _EVOLVE = _GRID + (
     _T,
@@ -240,7 +252,13 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
     "besov-audit": _GRID
     + (
         ("corpus", "count", lambda v, _: v >= 1, ">= 1"),
-        ("corpus", "frac", lambda v, _: 0 < v <= 1, "in (0, 1]"),
+        # below 2/n the band |k| <= frac * k_Nyquist holds no mode but k = 0
+        (
+            "corpus",
+            "frac",
+            lambda v, cfg: 2.0 / cfg["grid"]["n"] <= v <= 1,
+            "in [2/n, 1] with n = [grid] n",
+        ),
         (
             "audits",
             "which",
@@ -252,8 +270,21 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
     + (
         _T,
         ("run", "levels", lambda v, _: v >= 2, ">= 2 (an order fit needs two)"),
-        ("run", "dt0", lambda v, _: v > 0, "> 0"),
-        ("audit", "dt", lambda v, _: v > 0, "> 0"),
+        # the finest rung of the ladder steps at dt0 / 2^(levels - 1)
+        (
+            "run",
+            "dt0",
+            lambda v, cfg: v > 0
+            and _steps_ok(cfg["run"]["T"], math.ldexp(v, 1 - cfg["run"]["levels"])),
+            f"> 0 with [run] T / dt0 * 2^(levels - 1) <= {MAX_STEPS}",
+        ),
+        # the audit reruns at dt / 2 to check its constant
+        (
+            "audit",
+            "dt",
+            lambda v, cfg: v > 0 and _steps_ok(cfg["run"]["T"], 0.5 * v),
+            f"> 0 with 2 [run] T / dt <= {MAX_STEPS}",
+        ),
     ),
 }
 

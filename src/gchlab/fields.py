@@ -196,11 +196,18 @@ def green_convolve(f: RealField) -> RealField:
 
 def lp_norm(f: RealField, p: float) -> float:
     """Riemann-sum L^p norm; p = inf gives max|f|."""
+    return float(lp_norms(f.grid, f.values, p))
+
+
+def lp_norms(grid: Grid1D, values: np.ndarray, p: float) -> np.ndarray:
+    """lp_norm along the last axis, so a stack of fields gives one norm each."""
     if p == np.inf:
-        return float(np.max(np.abs(f.values)))
+        return np.max(np.abs(values), axis=-1)
     if p < 1:
         raise ConfigError(f"L^p norm needs p >= 1, got p={p}")
-    return float((np.sum(np.abs(f.values) ** p) * f.grid.dx) ** (1.0 / p))
+    mag = np.abs(values)
+    mag **= p  # in place: on a stack of fields a second temporary is large
+    return (np.sum(mag, axis=-1) * grid.dx) ** (1.0 / p)
 
 
 def sobolev_norm(f: RealField, s: float) -> float:
@@ -233,16 +240,20 @@ def dealias_mask(grid: Grid1D) -> np.ndarray:
 
 def refine_field(f: RealField) -> RealField:
     """Band-limited upsample onto a grid with 2N points (same L)."""
-    g = f.grid
-    fine = Grid1D(g.L, 2 * g.n)
-    ch = spectrum(f.values)
-    out = np.zeros(fine.k.shape, dtype=complex)
-    half = g.n // 2
-    out[:half] = ch[:half]
+    return RealField(Grid1D(f.grid.L, 2 * f.grid.n), refine_values(f.values))
+
+
+def refine_values(values: np.ndarray) -> np.ndarray:
+    """refine_field's grid values along the last axis, so a stack of fields
+    is upsampled in one pair of transforms."""
+    ch = spectrum(values)
+    half = values.shape[-1] // 2
+    out = np.zeros(ch.shape[:-1] + (2 * half + 1,), dtype=complex)
+    out[..., :half] = ch[..., :half]
     # the coarse Nyquist mode cos(k_nyq x) is an interior mode on the fine
     # grid, where a coefficient also stands for -k: half of it each way
-    out[half] = 0.5 * ch[half]
-    return RealField(fine, synthesize(out) * 2.0)
+    out[..., half] = 0.5 * ch[..., half]
+    return synthesize(out) * 2.0
 
 
 def random_band_limited(

@@ -1,5 +1,10 @@
 """Dyadic frequency decomposition and the inequality audits built on it.
 
+Besov norms have one implementation, `_block_norms` then `_besov_sum`, which
+works along the last axis of an array of grid values: `besov_norm` is its
+one-field case, and `inequality_audit` runs each audit on the whole corpus
+as one (count, n) stack.
+
 The partition uses a smoothed step built from the bump exp(-1/(1-t^2)):
 chi_b(xi) is 1 for |xi| <= 3/4, 0 for |xi| >= 4/3, and the annulus
 multipliers are differences phi_j(xi) = chi_b(xi/2^{j+1}) - chi_b(xi/2^j).
@@ -22,10 +27,9 @@ from .errors import ConfigError, EstimationError
 from .fields import (
     Grid1D,
     RealField,
-    derivative,
-    lp_norm,
-    power,
-    refine_field,
+    coefficient_power,
+    lp_norms,
+    refine_values,
     spectrum,
     synthesize,
 )
@@ -155,22 +159,32 @@ def besov_norm(
     """(sum_j 2^{jsr} ||Delta_j f||_p^r)^{1/r}, sup over j when r = inf."""
     _validate_params(s, p, r)
     part = part or partition_for(f.grid)
-    block_norms = np.empty(part.j_max + 2)
+    return float(_besov_sum(_block_norms(f.grid, f.values, p, part), s, r))
+
+
+def _block_norms(
+    grid: Grid1D, values: np.ndarray, p: float, part: DyadicPartition
+) -> np.ndarray:
+    """||Delta_j f||_p for every block j, along the last axis of the values:
+    a (count, n) stack of fields gives a (count, blocks) array."""
+    ch = spectrum(values)
     if p == 2.0:
         # Parseval per block, no inverse transforms needed
-        w = power(f)
-        for j in part.blocks:
-            block_norms[j + 1] = math.sqrt(float(np.sum(part.mult(j) ** 2 * w)))
-    else:
-        ch = spectrum(f.values)
-        for j in part.blocks:
-            blk = RealField(f.grid, synthesize(ch * part.mult(j)))
-            block_norms[j + 1] = lp_norm(blk, p)
-    weights = 2.0 ** (s * np.arange(-1, part.j_max + 1))
-    terms = weights * block_norms
+        return np.sqrt(coefficient_power(grid, ch) @ (part.multipliers**2).T)
+    # one block of the whole stack at a time: a (count, blocks, n) tensor
+    # would only add memory
+    norms = np.empty(values.shape[:-1] + (part.j_max + 2,))
+    for j in part.blocks:
+        norms[..., j + 1] = lp_norms(grid, synthesize(ch * part.mult(j)), p)
+    return norms
+
+
+def _besov_sum(block_norms: np.ndarray, s: float, r: float) -> np.ndarray:
+    """Weight block j by 2^{js}, then take the l^r norm over the last axis."""
+    terms = 2.0 ** (s * np.arange(-1, block_norms.shape[-1] - 1)) * block_norms
     if r == np.inf:
-        return float(np.max(terms))
-    return float(np.sum(terms**r) ** (1.0 / r))
+        return np.max(terms, axis=-1)
+    return np.sum(terms**r, axis=-1) ** (1.0 / r)
 
 
 def reconstruct(blocks: list[RealField]) -> RealField:
@@ -186,10 +200,11 @@ def reconstruct(blocks: list[RealField]) -> RealField:
     return RealField(blocks[0].grid, total)
 
 
-def _lam(f: RealField, s: float) -> RealField:
-    """(1 - dx^2)^{s/2} as a Fourier multiplier."""
-    ch = spectrum(f.values) * (1.0 + f.grid.k**2) ** (s / 2.0)
-    return RealField(f.grid, synthesize(ch))
+def _lam(grid: Grid1D, values: np.ndarray, s: float) -> np.ndarray:
+    """(1 - dx^2)^{s/2} as a Fourier multiplier, along the last axis."""
+    ch = spectrum(values)
+    ch *= (1.0 + grid.k**2) ** (s / 2.0)
+    return synthesize(ch)
 
 
 @dataclass
@@ -221,51 +236,58 @@ REFINE_BAND = 0.15
 INTERP_SLACK = 1e-12
 
 
-def _audit_ratios(corpus: list[RealField], which: str, params: dict) -> list[float]:
-    part = partition_for(corpus[0].grid)
+def _audit_ratios(
+    grid: Grid1D, values: np.ndarray, which: str, params: dict
+) -> np.ndarray:
+    """lhs / rhs of one audit for each row of a (count, n) stack of fields.
+
+    The bilinear audits pair row i with row i + 1 (the last with the first).
+    """
+    part = partition_for(grid)
     s = params["s"]
-    out = []
-    n = len(corpus)
-    for i, f in enumerate(corpus):
-        if which == "embedding":
-            # one dimension: B^s_{p1,r1} -> B^{s - (1/p1 - 1/p2)}_{p2,r2}
-            p1, r1, p2, r2 = params["p1"], params["r1"], params["p2"], params["r2"]
-            lhs = besov_norm(f, s - (1.0 / p1 - 1.0 / p2), p2, r2, part)
-            rhs = besov_norm(f, s, p1, r1, part)
-        elif which == "interpolation":
-            th, s1, s2 = params["theta"], params["s1"], params["s2"]
-            smid = th * s1 + (1.0 - th) * s2
-            lhs = besov_norm(f, smid, 2.0, 2.0, part)
-            rhs = besov_norm(f, s1, 2.0, 2.0, part) ** th * besov_norm(
-                f, s2, 2.0, 2.0, part
-            ) ** (1.0 - th)
-        elif which == "algebra":
-            sq = RealField(f.grid, f.values * f.values)
-            lhs = besov_norm(sq, s, 2.0, 2.0, part)
-            rhs = 2.0 * lp_norm(f, np.inf) * besov_norm(f, s, 2.0, 2.0, part)
-        elif which == "morse":
-            gfld = corpus[(i + 1) % n]
-            prod = RealField(f.grid, f.values * gfld.values)
-            lhs = besov_norm(prod, s - 1.0, 2.0, 2.0, part)
-            rhs = besov_norm(f, s - 1.0, 2.0, 2.0, part) * besov_norm(
-                gfld, s, 2.0, 2.0, part
-            )
-        elif which == "kato_ponce":
-            gfld = corpus[(i + 1) % n]
-            prod = RealField(f.grid, f.values * gfld.values)
-            comm = RealField(
-                f.grid, _lam(prod, s).values - f.values * _lam(gfld, s).values
-            )
-            lhs = lp_norm(comm, 2.0)
-            rhs = lp_norm(_lam(f, s), 2.0) * lp_norm(gfld, np.inf) + lp_norm(
-                derivative(f, 1), np.inf
-            ) * lp_norm(_lam(gfld, s - 1.0), 2.0)
-        else:
-            raise ConfigError(f"unknown audit id {which!r}; known: {AUDIT_IDS}")
-        if rhs == 0.0:
-            raise EstimationError(f"audit {which}: degenerate sample with zero bound")
-        out.append(lhs / rhs)
-    return out
+
+    def besov(v: np.ndarray, s: float, p: float = 2.0, r: float = 2.0) -> np.ndarray:
+        return _besov_sum(_block_norms(grid, v, p, part), s, r)
+
+    def l2(v: np.ndarray) -> np.ndarray:
+        return lp_norms(grid, v, 2.0)
+
+    def sup(v: np.ndarray) -> np.ndarray:
+        return lp_norms(grid, v, np.inf)
+
+    if which == "embedding":
+        # one dimension: B^s_{p1,r1} -> B^{s - (1/p1 - 1/p2)}_{p2,r2}
+        p1, r1, p2, r2 = params["p1"], params["r1"], params["p2"], params["r2"]
+        lhs = besov(values, s - (1.0 / p1 - 1.0 / p2), p2, r2)
+        rhs = besov(values, s, p1, r1)
+    elif which == "interpolation":
+        th, s1, s2 = params["theta"], params["s1"], params["s2"]
+        b = _block_norms(grid, values, 2.0, part)
+        lhs = _besov_sum(b, th * s1 + (1.0 - th) * s2, 2.0)
+        rhs = _besov_sum(b, s1, 2.0) ** th * _besov_sum(b, s2, 2.0) ** (1.0 - th)
+    elif which == "algebra":
+        lhs = besov(values * values, s)
+        rhs = 2.0 * sup(values) * besov(values, s)
+    elif which == "morse":
+        # g is the next row, so its norms are the next row's norms of f
+        b = _block_norms(grid, values, 2.0, part)
+        lhs = besov(values * np.roll(values, -1, axis=0), s - 1.0)
+        rhs = _besov_sum(b, s - 1.0, 2.0) * np.roll(_besov_sum(b, s, 2.0), -1)
+    elif which == "kato_ponce":
+        # the commutator [lam^s, f] g, with g the next row as in morse
+        lam = _lam(grid, values, s)
+        comm = _lam(grid, values * np.roll(values, -1, axis=0), s)
+        comm -= values * np.roll(lam, -1, axis=0)
+        lhs = l2(comm)
+        rhs = l2(lam) * np.roll(sup(values), -1)
+        del comm, lam  # each is a whole stack: free them before the next two
+        fx = synthesize(spectrum(values) * grid.ik)
+        rhs += sup(fx) * np.roll(l2(_lam(grid, values, s - 1.0)), -1)
+    else:
+        raise ConfigError(f"unknown audit id {which!r}; known: {AUDIT_IDS}")
+    if np.any(rhs == 0.0):
+        raise EstimationError(f"audit {which}: degenerate sample with zero bound")
+    return lhs / rhs
 
 
 _AUDIT_DEFAULTS = {
@@ -282,10 +304,11 @@ def inequality_audit(
 ) -> AuditReport:
     """Fit the sharpest constant observed for one textbook inequality.
 
-    The corpus must share a grid.  The fitted constant is the max sample
-    ratio; with refine=True the corpus is upsampled once (2N) and the
-    constant refitted, and the report records refined/base.  The
-    interpolation audit is a hard bound with constant exactly 1.
+    The corpus must share a grid, and is audited as one (count, n) stack.
+    The fitted constant is the max sample ratio, NaN if any ratio is NaN,
+    which fails the audit; with refine=True the corpus is upsampled once
+    (2N) and the constant refitted, and the report records refined/base.
+    The interpolation audit is a hard bound with constant exactly 1.
     """
     if not corpus:
         raise ConfigError("audit corpus is empty")
@@ -295,13 +318,14 @@ def inequality_audit(
     if any(f.grid.n != g0.n or f.grid.L != g0.L for f in corpus):
         raise ConfigError("audit corpus must share one grid")
     params = _AUDIT_DEFAULTS[which]
-    ratios = _audit_ratios(corpus, which, params)
-    fitted = max(ratios)
+    values = np.array([f.values for f in corpus])
+    ratios = _audit_ratios(g0, values, which, params)
+    fitted = float(np.max(ratios))
     ref_ratio = 1.0
     if refine:
-        fine = [refine_field(f) for f in corpus]
-        fitted_fine = max(_audit_ratios(fine, which, params))
-        ref_ratio = fitted_fine / fitted
+        fine = Grid1D(g0.L, 2 * g0.n)
+        fine_ratios = _audit_ratios(fine, refine_values(values), which, params)
+        ref_ratio = float(np.max(fine_ratios)) / fitted
     hard_ok = True
     if which == "interpolation":
         hard_ok = fitted <= 1.0 + INTERP_SLACK
@@ -313,7 +337,7 @@ def inequality_audit(
     return AuditReport(
         audit_id=which,
         params={k: (None if v is np.inf else v) for k, v in params.items()},
-        ratios=ratios,
+        ratios=ratios.tolist(),
         fitted_constant=fitted,
         refinement_ratio=ref_ratio,
         hard_ok=hard_ok,

@@ -255,6 +255,8 @@ class TestCli:
             "[run]\nT = nan\n",
             "[run]\ndt = -0.01\n",
             "[check]\nratio_from = 0\n",
+            # T / dt = 2.5e299 transport steps per iteration
+            "[run]\ndt = 1e-300\n",
             # ratios run 1 .. n_iter - 1, so this would check none of them
             "[run]\nn_iter = 6\n[check]\nratio_from = 9\n",
             "[run]\nn_iter = 6\n[check]\nratio_from = 6\n",
@@ -325,6 +327,14 @@ class TestCli:
             ("transport-test", "[audit]\ndt = 0.0\n"),
             ("besov-audit", "[corpus]\nfrac = 0.0\n"),
             ("besov-audit", "[corpus]\nfrac = 1.5\n"),
+            # below 2/n = 0.00390625 the band keeps no mode: zero fields
+            ("besov-audit", "[grid]\nn = 512\n[corpus]\nfrac = 0.0039\n"),
+            # planned transport steps above dynamics.MAX_STEPS
+            ("transport-test", "[run]\ndt0 = 1e-300\n"),
+            ("transport-test", "[run]\nlevels = 40\n"),
+            ("transport-test", "[run]\nT = 0.95367431640625\nlevels = 2\ndt0 = 9.5e-07\n"),
+            ("transport-test", "[audit]\ndt = 1e-300\n"),
+            ("simulate", "[run]\ndt = 1e-300\n"),
             ("peakon-verify", "[residual]\nsigma = 0.0\n"),
             ("peakon-verify", "[residual]\nnt0 = 2\n"),
             ("peakon-verify", "[residual]\nnx0 = 2\n"),
@@ -375,6 +385,12 @@ class TestCli:
             assert (cfg["residual"]["x0"], cfg["residual"]["nx0"]) == (x0, 4)
         cfg = parse_config("[corpus]\nfrac = 1.0\n", "besov-audit")
         assert cfg["corpus"]["frac"] == 1.0
+        cfg = parse_config("[grid]\nn = 512\n[corpus]\nfrac = 0.00390625\n", "besov-audit")
+        assert cfg["corpus"]["frac"] == 2.0 / 512
+        # the finest rung, dt0 / 2 = 2^-21, takes exactly MAX_STEPS steps to T
+        text = "[run]\nT = 0.95367431640625\nlevels = 2\ndt0 = 9.5367431640625e-07\n"
+        cfg = parse_config(text, "transport-test")
+        assert cfg["run"]["T"] / (cfg["run"]["dt0"] / 2) == 2_000_000
 
     def test_picard_range_edges_accepted(self):
         cfg = parse_config(

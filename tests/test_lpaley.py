@@ -18,14 +18,20 @@ from gchlab import (
     RealField,
     besov_norm,
     build_partition,
+    derivative,
     dyadic_block,
+    fields,
     inequality_audit,
+    lp_norm,
+    lpaley,
     low_cutoff,
     partition_for,
     random_band_limited,
     reconstruct,
+    refine_field,
     sobolev_norm,
     spectrum,
+    synthesize,
 )
 from gchlab.lpaley import AUDIT_IDS, chi_base, smooth_step
 
@@ -234,3 +240,95 @@ class TestAudits:
         js = rep.to_json()
         assert js["audit_id"] == "embedding"
         assert isinstance(js["fitted_constant"], float)
+
+
+def _lam(f, s):
+    return RealField(f.grid, synthesize(spectrum(f.values) * (1.0 + f.grid.k**2) ** (s / 2.0)))
+
+
+def per_field_ratios(corpus, which, params):
+    """The audit ratios one field at a time, from the one-field functions:
+    the reference the stacked audit must reproduce."""
+    s = params["s"]
+    out = []
+    for i, f in enumerate(corpus):
+        g = corpus[(i + 1) % len(corpus)]
+        if which == "embedding":
+            p1, r1, p2, r2 = params["p1"], params["r1"], params["p2"], params["r2"]
+            lhs = besov_norm(f, s - (1.0 / p1 - 1.0 / p2), p2, r2)
+            rhs = besov_norm(f, s, p1, r1)
+        elif which == "interpolation":
+            th, s1, s2 = params["theta"], params["s1"], params["s2"]
+            lhs = besov_norm(f, th * s1 + (1.0 - th) * s2)
+            rhs = besov_norm(f, s1) ** th * besov_norm(f, s2) ** (1.0 - th)
+        elif which == "algebra":
+            lhs = besov_norm(RealField(f.grid, f.values**2), s)
+            rhs = 2.0 * lp_norm(f, math.inf) * besov_norm(f, s)
+        elif which == "morse":
+            lhs = besov_norm(RealField(f.grid, f.values * g.values), s - 1.0)
+            rhs = besov_norm(f, s - 1.0) * besov_norm(g, s)
+        else:
+            prod = RealField(f.grid, f.values * g.values)
+            comm = RealField(f.grid, _lam(prod, s).values - f.values * _lam(g, s).values)
+            lhs = lp_norm(comm, 2.0)
+            rhs = lp_norm(_lam(f, s), 2.0) * lp_norm(g, math.inf) + lp_norm(
+                derivative(f, 1), math.inf
+            ) * lp_norm(_lam(g, s - 1.0), 2.0)
+        out.append(lhs / rhs)
+    return np.array(out)
+
+
+class TestStackedAudit:
+    """inequality_audit runs on the corpus as one stack of fields."""
+
+    @pytest.mark.parametrize("aid", AUDIT_IDS)
+    def test_matches_per_field_reference(self, corpus, aid):
+        rep = inequality_audit(corpus, aid)
+        # the embedding's target exponents p2 = r2 = inf are stored as None
+        params = {k: math.inf if v is None else v for k, v in rep.params.items()}
+        base = per_field_ratios(corpus, aid, params)
+        fine = per_field_ratios([refine_field(f) for f in corpus], aid, params)
+        np.testing.assert_allclose(rep.ratios, base, rtol=1e-13, atol=0.0)
+        assert rep.refinement_ratio == pytest.approx(max(fine) / max(base), rel=1e-13)
+
+    @pytest.mark.parametrize("aid", AUDIT_IDS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_fails(self, aid, bad):
+        g = Grid1D(40.0, 256)
+        rng = np.random.default_rng(7)
+        corpus = [random_band_limited(g, rng) for _ in range(6)]
+        corpus[3].values[100] = bad
+        with np.errstate(invalid="ignore"):
+            rep = inequality_audit(corpus, aid)
+        assert not math.isfinite(rep.fitted_constant)
+        assert not rep.passed
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"spectrum": 0, "synthesize": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            fn = getattr(fields, name)
+            for mod in (fields, lpaley):
+                monkeypatch.setattr(mod, name, counted(name, fn))
+        return counts
+
+    @pytest.mark.parametrize("aid", AUDIT_IDS)
+    def test_transform_count_does_not_grow_with_corpus(self, calls, aid):
+        g = Grid1D(40.0, 256)
+        rng = np.random.default_rng(41)
+        corpora = [[random_band_limited(g, rng) for _ in range(c)] for c in (4, 40)]
+        seen = []
+        for corpus in corpora:
+            calls.update(spectrum=0, synthesize=0)
+            inequality_audit(corpus, aid)
+            seen.append(dict(calls))
+        assert seen[0] == seen[1]
+        assert seen[0]["spectrum"] > 0
