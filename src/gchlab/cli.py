@@ -21,7 +21,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="path to a config document")
         sp.add_argument("--out", default="gchlab_out", help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-        sp.add_argument("--threads", type=int, default=1, help="sweep worker count")
+        sp.add_argument(
+            "--threads", type=int, default=1, help="accepted; starts no thread"
+        )
     return p
 
 

@@ -167,9 +167,22 @@ def _finite_amplitudes(raw: str) -> bool:
         return False
 
 
+def _power_of_two(n: int) -> bool:
+    return n >= 16 and n & (n - 1) == 0
+
+
+def _partition_n(n: int, cfg: dict) -> bool:
+    """A dyadic partition needs j_max = floor(log2(k_Nyquist / 0.75)) >= 1."""
+    return _power_of_two(n) and math.pi * (n // 2) / cfg["grid"]["L"] >= 1.5
+
+
 _GRID = (
     ("grid", "L", lambda v, _: v > 0, "> 0"),
-    ("grid", "n", lambda v, _: v >= 16 and v & (v - 1) == 0, "a power of two >= 16"),
+    ("grid", "n", lambda v, _: _power_of_two(v), "a power of two >= 16"),
+)
+_PARTITION_GRID = (
+    _GRID[0],
+    ("grid", "n", _partition_n, "a power of two >= 16 with pi (n/2) / L >= 1.5"),
 )
 
 
@@ -227,7 +240,7 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
             "a comma-separated list of finite numbers",
         ),
     ),
-    "picard": _GRID
+    "picard": _PARTITION_GRID
     + (
         _T,
         ("run", "n_iter", lambda v, _: v >= 2, ">= 2"),
@@ -249,7 +262,7 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
         ),
         _WIDTH,
     ),
-    "besov-audit": _GRID
+    "besov-audit": _PARTITION_GRID
     + (
         ("corpus", "count", lambda v, _: v >= 1, ">= 1"),
         # below 2/n the band |k| <= frac * k_Nyquist holds no mode but k = 0
@@ -266,7 +279,7 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
             f'"all" or a comma-separated list from {AUDIT_IDS}',
         ),
     ),
-    "transport-test": _GRID
+    "transport-test": _PARTITION_GRID
     + (
         _T,
         ("run", "levels", lambda v, _: v >= 2, ">= 2 (an order fit needs two)"),

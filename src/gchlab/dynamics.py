@@ -67,7 +67,7 @@ class _Kernel:
 
     Each rhs maps state coefficients to (rhs coefficients, w on the grid),
     where w = 2u - u_x gives the CFL speed.  A kernel holds no per-call
-    state, so the threads of a sweep can share it.
+    state, so every evolve on its grid can share it.
     """
 
     def __init__(self, grid: Grid1D):
@@ -188,15 +188,15 @@ def spectral_tail_fraction(grid: Grid1D, ch: np.ndarray) -> float:
     The retained band is the one the 2/3 rule keeps, |k| <= (2/3) k_Nyquist;
     modes above it are zeroed every step, so they carry no information.
     """
-    g = grid
-    dens = (1.0 + g.k**2) * coefficient_power(g, ch)
-    kcut = (2.0 / 3.0) * g.nyquist
-    retained = np.abs(g.k) <= kcut
-    top = retained & (np.abs(g.k) >= (2.0 / 3.0) * kcut)
-    total = float(dens[retained].sum())
+    dens = (1.0 + grid.k**2) * coefficient_power(grid, ch)
+    # grid.k ascends from 0, so the band and its top third are index ranges
+    kcut = (2.0 / 3.0) * grid.nyquist
+    m = int(np.searchsorted(grid.k, kcut, side="right"))
+    lo = int(np.searchsorted(grid.k, (2.0 / 3.0) * kcut))
+    total = float(dens[:m].sum())
     if total == 0.0:
         return 0.0
-    return float(dens[top].sum()) / total
+    return float(dens[lo:m].sum()) / total
 
 
 def step(

@@ -1,22 +1,21 @@
 """Experiment runners behind the CLI: compute, then write and judge.
 
-A runner `run_<kind>(cfg, grid, seed, threads)` only computes: it returns an
+A runner `run_<kind>(cfg, grid, seed)` only computes: it returns an
 `Outcome` with its report fields, its verdict, the texts of its artifact
 files and its chart, and touches no file.  `run_experiment` is the one place
 that writes: echo.cfg, every file the runner returned, plot.svg when
 `[output] plot` is set, and report.json; it returns the exit code, 0 iff the
-runner's checks passed.  Outputs are byte-deterministic for a fixed config
-and seed: floats go through repr, keys keep insertion order, sweep members
-keep amplitude order at any thread count.
+runner's checks passed.  Every runner computes in the calling thread.
+Outputs are byte-deterministic for a fixed config and seed: floats go
+through repr, keys keep insertion order, sweep members run in amplitude
+order.
 """
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -148,7 +147,7 @@ def _evolve_ok(rep: dyn.RunReport, stops: tuple[str, ...]) -> bool:
     return v["wbound_ok"] and v["slope_bound_ok"] and rep.stop_reason in stops
 
 
-def run_simulate(cfg: dict, grid: Grid1D, seed: int | None, threads: int) -> Outcome:
+def run_simulate(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     u0 = _initial_field(cfg["data"], grid, seed)
     rep = dyn.evolve(u0, _solver_cfg(cfg["run"]))
     return Outcome(
@@ -159,9 +158,7 @@ def run_simulate(cfg: dict, grid: Grid1D, seed: int | None, threads: int) -> Out
     )
 
 
-def run_peakon_verify(
-    cfg: dict, grid: Grid1D, seed: int | None, threads: int
-) -> Outcome:
+def run_peakon_verify(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     c = cfg["wave"]["speed"]
     rcfg, rs = cfg["run"], cfg["residual"]
     rep = dyn.evolve(peakon_field(grid, 0.0, c), _solver_cfg(rcfg))
@@ -251,27 +248,14 @@ def _blowup_single(cfg: dict, grid: Grid1D, amplitude: float):
     return record, rep
 
 
-def run_blowup_study(
-    cfg: dict, grid: Grid1D, seed: int | None, threads: int
-) -> Outcome:
+def run_blowup_study(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     record, rep = _blowup_single(cfg, grid, cfg["data"]["amplitude"])
-
-    def sweep_member(amplitude):
-        rec, member = _blowup_single(cfg, grid, amplitude)
-        return rec, member.to_csv()
-
-    amps = sweep_amplitudes(cfg["sweep"]["amplitudes"])
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        # numpy keeps its error state in a context variable, and pool threads
-        # start in an empty context: each member runs in a copy of this one
-        futures = [
-            pool.submit(contextvars.copy_context().run, sweep_member, a) for a in amps
-        ]
-        members = [f.result() for f in futures]  # amplitude order
-    sweep = [rec for rec, _ in members]
     files = {"series.csv": rep.to_csv()}
-    for i, (_, text) in enumerate(members):
-        files[f"sweep_{i:02d}/series.csv"] = text
+    sweep = []
+    for i, amplitude in enumerate(sweep_amplitudes(cfg["sweep"]["amplitudes"])):
+        rec, member = _blowup_single(cfg, grid, amplitude)
+        sweep.append(rec)
+        files[f"sweep_{i:02d}/series.csv"] = member.to_csv()
     if sweep:
         files["sweep.csv"] = _csv(
             "A,C_T,verdict,T_est,bound,window_mean",
@@ -292,7 +276,7 @@ def run_blowup_study(
     return Outcome(body, passed, files, _series_chart(rep))
 
 
-def run_picard(cfg: dict, grid: Grid1D, seed: int | None, threads: int) -> Outcome:
+def run_picard(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     m0 = _initial_field(cfg["data"], grid, seed)
     rcfg, ccfg = cfg["run"], cfg["check"]
     pr = picard_run(
@@ -337,9 +321,7 @@ def run_picard(cfg: dict, grid: Grid1D, seed: int | None, threads: int) -> Outco
     return Outcome(body, passed, files, chart)
 
 
-def run_besov_audit(
-    cfg: dict, grid: Grid1D, seed: int | None, threads: int
-) -> Outcome:
+def run_besov_audit(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     ccfg = cfg["corpus"]
     rng = np.random.default_rng(ccfg["seed"] if seed is None else seed)
     corpus = [
@@ -360,9 +342,7 @@ def run_besov_audit(
     )
 
 
-def run_transport_test(
-    cfg: dict, grid: Grid1D, seed: int | None, threads: int
-) -> Outcome:
+def run_transport_test(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     rcfg = cfg["run"]
     T = rcfg["T"]
 
@@ -437,7 +417,8 @@ def run_experiment(
     echo.cfg is written first; the runner's files, plot.svg and report.json
     are written after it returns.  A run that raises leaves echo.cfg and an
     error report.json, and the exception propagates.  Returns 0 iff the
-    runner's checks passed, else 1.
+    runner's checks passed, else 1.  `threads` is accepted and starts no
+    thread: runners compute in the calling thread.
     """
     if kind not in RUNNERS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
@@ -446,7 +427,7 @@ def run_experiment(
         grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
         # runners detect and report non-finite results themselves
         with np.errstate(over="ignore", invalid="ignore"):
-            out = RUNNERS[kind](cfg, grid, seed, threads)
+            out = RUNNERS[kind](cfg, grid, seed)
         for name, text in out.files.items():
             _write(outdir, name, text)
         if cfg["output"]["plot"]:

@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -340,6 +342,12 @@ class TestCli:
             ("peakon-verify", "[residual]\nnx0 = 2\n"),
             # the test function's support [37.5, 40.5] leaves [-40, 40)
             ("peakon-verify", "[residual]\nx0 = 39.0\n"),
+            # k_Nyquist = pi (16/2) / 20 = 1.26 leaves no dyadic block above j = 0
+            ("picard", "[grid]\nn = 16\n"),
+            ("besov-audit", "[grid]\nn = 16\n"),
+            ("transport-test", "[grid]\nL = 20.0\nn = 16\n"),
+            # one ulp above L = 8 pi / 1.5
+            ("besov-audit", "[grid]\nL = 16.755160819145566\nn = 16\n"),
         ],
     )
     def test_range_fails_at_load_time(self, tmp_path, capsys, kind, text):
@@ -391,6 +399,9 @@ class TestCli:
         text = "[run]\nT = 0.95367431640625\nlevels = 2\ndt0 = 9.5367431640625e-07\n"
         cfg = parse_config(text, "transport-test")
         assert cfg["run"]["T"] / (cfg["run"]["dt0"] / 2) == 2_000_000
+        # k_Nyquist = pi (16/2) / L is exactly 1.5: j_max = 1
+        cfg = parse_config("[grid]\nL = 16.755160819145562\nn = 16\n", "besov-audit")
+        assert math.pi * 8 / cfg["grid"]["L"] == 1.5
 
     def test_picard_range_edges_accepted(self):
         cfg = parse_config(
@@ -514,8 +525,8 @@ class TestRunContract:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sweep_members_keep_the_error_state(self, tmp_path, monkeypatch):
-        # run_experiment ignores floating-point overflow; the sweep's pool
-        # threads must run under the same error state
+        # run_experiment ignores floating-point overflow; every sweep member
+        # must run under the same error state
         single = experiments._blowup_single
 
         def overflowing(cfg, grid, amplitude):
@@ -527,6 +538,22 @@ class TestRunContract:
         path = write(tmp_path, "bs.cfg", text)
         out = str(tmp_path / "o")
         assert main(["blowup-study", "--config", path, "--out", out, "--threads", "2"]) == 0
+
+    def test_sweep_members_run_in_the_calling_thread(self, tmp_path, monkeypatch):
+        # a thread pool costs CPU on GIL contention and saves no wall time
+        # for the small evolves of a sweep
+        single, idents = experiments._blowup_single, []
+
+        def recording(cfg, grid, amplitude):
+            idents.append(threading.get_ident())
+            return single(cfg, grid, amplitude)
+
+        monkeypatch.setattr(experiments, "_blowup_single", recording)
+        text = BLOWUP_SMOKE + '[sweep]\namplitudes = "0.05,0.03"\n'
+        path = write(tmp_path, "bs.cfg", text)
+        out = str(tmp_path / "o")
+        assert main(["blowup-study", "--config", path, "--out", out, "--threads", "2"]) == 0
+        assert idents == [threading.get_ident()] * 3  # the study run, two members
 
     def test_run_time_error_leaves_echo_and_error_report(self, tmp_path, capsys):
         # a width-30 Gaussian on [-40, 40) fails the solver's domain-decay screen

@@ -314,6 +314,19 @@ class TestMonitors:
         hot = RealField(g, np.cos(m * math.pi / g.L * g.x))
         assert spectral_tail_fraction(g, spectrum(hot.values)) > 0.5
 
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    @pytest.mark.parametrize("L", [40.0, math.pi])
+    def test_tail_fraction_matches_mask_reference_bitwise(self, n, L):
+        g = Grid1D(L, n)
+        ch = spectrum(np.random.default_rng(n).standard_normal(n))
+        # the boolean-mask formula over |k|
+        dens = (1.0 + g.k**2) * fields.coefficient_power(g, ch)
+        kcut = (2.0 / 3.0) * g.nyquist
+        retained = np.abs(g.k) <= kcut
+        top = retained & (np.abs(g.k) >= (2.0 / 3.0) * kcut)
+        want = float(dens[top].sum()) / float(dens[retained].sum())
+        assert spectral_tail_fraction(g, ch) == want
+
     def test_energy_matches_h1_square(self):
         g = Grid1D(40.0, 256)
         u = gaussian(g)
