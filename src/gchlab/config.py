@@ -12,9 +12,14 @@ from __future__ import annotations
 
 import math
 
-from .dynamics import MAX_STEPS, RHS_FORMS
 from .errors import ConfigError
 from .lpaley import AUDIT_IDS
+
+# the solver's right-hand-side forms, as [run] rhs_form names them
+RHS_FORMS = ("spectral_form", "m_form", "u_form")
+# evolve gives up with DivergedError after this many steps; load time
+# rejects a config whose fixed step plans more
+MAX_STEPS = 2_000_000
 
 KINDS = (
     "simulate",
@@ -176,8 +181,22 @@ def _partition_n(n: int, cfg: dict) -> bool:
     return _power_of_two(n) and math.pi * (n // 2) / cfg["grid"]["L"] >= 1.5
 
 
+def _grid_steps(L: float, cfg: dict) -> bool:
+    """Grid1D's dx = 2L/n and k_Nyquist = pi (n/2) / L are positive and
+    finite; an n outside its own range leaves only L > 0 to check here."""
+    n = cfg["grid"]["n"]
+    if L <= 0 or not _power_of_two(n):
+        return L > 0
+    return 0 < 2.0 * L / n < math.inf and math.pi * (n // 2) / L < math.inf
+
+
 _GRID = (
-    ("grid", "L", lambda v, _: v > 0, "> 0"),
+    (
+        "grid",
+        "L",
+        _grid_steps,
+        "> 0 with a positive, finite dx = 2L/n and k_Nyquist = pi (n/2) / L",
+    ),
     ("grid", "n", lambda v, _: _power_of_two(v), "a power of two >= 16"),
 )
 _PARTITION_GRID = (
@@ -187,7 +206,7 @@ _PARTITION_GRID = (
 
 
 def _steps_ok(T: float, dt: float) -> bool:
-    """A horizon T in steps of dt plans at most dynamics.MAX_STEPS steps."""
+    """A horizon T in steps of dt plans at most MAX_STEPS steps."""
     return T <= MAX_STEPS * dt
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field as dfield, replace
 
 import numpy as np
 
+from .config import MAX_STEPS, RHS_FORMS
 from .errors import ConfigError, DivergedError
 from .fields import (
     Grid1D,
@@ -36,15 +37,11 @@ from .fields import (
 )
 from .lpaley import besov_norm, partition_for
 
-RHS_FORMS = ("spectral_form", "m_form", "u_form")
-
 # dt below this means the CFL speed exploded and the run is unusable
 DT_COLLAPSE = 1e-12
 # the CFL speed never counts as lower than this, so quiescent fields step
 # at most cfl_sigma * dx
 SPEED_FLOOR = 1.0
-# evolve gives up with DivergedError after this many steps
-MAX_STEPS = 2_000_000
 
 
 def momentum_coefficients(

@@ -9,6 +9,9 @@ runner's checks passed.  Every runner computes in the calling thread.
 Outputs are byte-deterministic for a fixed config and seed: floats go
 through repr, keys keep insertion order, sweep members run in amplitude
 order.
+The module imports what besov-audit and the shared helpers use; each other
+runner imports its solver modules (dynamics, blowup, peakon, transport)
+when it runs, so a process loads only the modules of the kind it serves.
 """
 
 from __future__ import annotations
@@ -16,12 +19,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import blowup as bl
-from . import dynamics as dyn
 from .config import audit_ids, canonical_echo, sweep_amplitudes
 from .errors import ConfigError, EstimationError
 from .fields import (
@@ -33,21 +34,10 @@ from .fields import (
     random_band_limited,
 )
 from .lpaley import inequality_audit
-from .peakon import (
-    PeakonSolution,
-    TestFunction,
-    peakon_energy,
-    peakon_field,
-    refinement_study,
-)
 from .svgplot import LineChart
-from .transport import (
-    TimeSlices,
-    TransportProblem,
-    picard_run,
-    solve_transport,
-    transport_apriori_audit,
-)
+
+if TYPE_CHECKING:
+    from .dynamics import RunReport, SolverConfig
 
 
 class Outcome(NamedTuple):
@@ -114,6 +104,8 @@ def _initial_field(dcfg: dict, grid: Grid1D, seed: int | None) -> RealField:
     if kind == "gaussian":
         return _gaussian(grid, dcfg["amplitude"], dcfg["width"], dcfg["center"])
     if kind == "peakon":
+        from .peakon import peakon_field
+
         return peakon_field(grid, 0.0, dcfg["speed"])
     # "random", the last of config.DATA_KINDS
     rng = np.random.default_rng(dcfg["seed"] if seed is None else seed)
@@ -124,7 +116,7 @@ def _initial_field(dcfg: dict, grid: Grid1D, seed: int | None) -> RealField:
     return RealField(grid, dcfg["amplitude"] * env * f.values)
 
 
-def _series_chart(rep: dyn.RunReport) -> LineChart:
+def _series_chart(rep: RunReport) -> LineChart:
     chart = LineChart("run monitors", "t", "value")
     chart.add("E", rep.times, rep.energy)
     chart.add("min u_xx", rep.times, rep.min_uxx)
@@ -132,24 +124,28 @@ def _series_chart(rep: dyn.RunReport) -> LineChart:
     return chart
 
 
-def _solver_cfg(rcfg: dict) -> dyn.SolverConfig:
+def _solver_cfg(rcfg: dict) -> SolverConfig:
     """The solver settings of a [run] section; keys it lacks keep their
     SolverConfig defaults, and dt = 0 picks the CFL policy."""
+    from .dynamics import SolverConfig
+
     keys = ("T", "rhs_form", "cfl_sigma", "monitor_every", "tail_threshold")
-    return dyn.SolverConfig(
+    return SolverConfig(
         dt=rcfg.get("dt") or None, **{k: rcfg[k] for k in keys if k in rcfg}
     )
 
 
-def _evolve_ok(rep: dyn.RunReport, stops: tuple[str, ...]) -> bool:
+def _evolve_ok(rep: RunReport, stops: tuple[str, ...]) -> bool:
     """Both running bounds held and the run stopped for one of `stops`."""
     v = rep.verdicts
     return v["wbound_ok"] and v["slope_bound_ok"] and rep.stop_reason in stops
 
 
 def run_simulate(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
+    from .dynamics import evolve
+
     u0 = _initial_field(cfg["data"], grid, seed)
-    rep = dyn.evolve(u0, _solver_cfg(cfg["run"]))
+    rep = evolve(u0, _solver_cfg(cfg["run"]))
     return Outcome(
         {"summary": rep.summary()},
         _evolve_ok(rep, ("horizon",)),
@@ -159,9 +155,18 @@ def run_simulate(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
 
 
 def run_peakon_verify(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
+    from .dynamics import evolve
+    from .peakon import (
+        PeakonSolution,
+        TestFunction,
+        peakon_energy,
+        peakon_field,
+        refinement_study,
+    )
+
     c = cfg["wave"]["speed"]
     rcfg, rs = cfg["run"], cfg["residual"]
-    rep = dyn.evolve(peakon_field(grid, 0.0, c), _solver_cfg(rcfg))
+    rep = evolve(peakon_field(grid, 0.0, c), _solver_cfg(rcfg))
     exact = peakon_field(grid, rcfg["T"], c)
     diff = RealField(grid, rep.final.values - exact.values)
     rel_l2 = lp_norm(diff, 2.0) / lp_norm(exact, 2.0)
@@ -210,10 +215,13 @@ _SWEEP_COLUMNS = ("amplitude", "C_T", "verdict", "T_est", "bound_time", "window_
 
 
 def _blowup_single(cfg: dict, grid: Grid1D, amplitude: float):
+    from . import blowup as bl
+    from .dynamics import evolve
+
     dcfg = cfg["data"]
     u0 = _gaussian(grid, amplitude, dcfg["width"], dcfg["center"])
     cond = bl.check_condition(u0, cfg["run"]["T"])
-    rep = dyn.evolve(u0, _solver_cfg(cfg["run"]))
+    rep = evolve(u0, _solver_cfg(cfg["run"]))
     ceiling = cfg["estimate"]["ceiling_factor"] * cond.w_curvature
     record = {
         "amplitude": amplitude,
@@ -277,6 +285,9 @@ def run_blowup_study(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
 
 
 def run_picard(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
+    from .dynamics import SolverConfig, evolve
+    from .transport import picard_run
+
     m0 = _initial_field(cfg["data"], grid, seed)
     rcfg, ccfg = cfg["run"], cfg["check"]
     pr = picard_run(
@@ -289,9 +300,9 @@ def run_picard(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     )
     # direct solve from u0 = (1-dx^2)^{-1} m0, compared at the final time;
     # [run] dt is the transport step, so the solver keeps its CFL policy
-    direct = dyn.evolve(
+    direct = evolve(
         helmholtz_inverse(m0),
-        dyn.SolverConfig(T=rcfg["T"], rhs_form="m_form", monitor_every=1000000),
+        SolverConfig(T=rcfg["T"], rhs_form="m_form", monitor_every=1000000),
     )
     m_direct = apply_one_minus_dxx(direct.final)
     direct_gap = lp_norm(RealField(grid, pr.final_frame - m_direct.values), 2.0)
@@ -343,6 +354,13 @@ def run_besov_audit(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
 
 
 def run_transport_test(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
+    from .transport import (
+        TimeSlices,
+        TransportProblem,
+        solve_transport,
+        transport_apriori_audit,
+    )
+
     rcfg = cfg["run"]
     T = rcfg["T"]
 

@@ -1,10 +1,13 @@
 """Config grammar, canonical echo, CLI exit codes, artifact determinism."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import gchlab
 from gchlab import ConfigError, experiments
 from gchlab.cli import main
 from gchlab.config import (
@@ -348,6 +352,10 @@ class TestCli:
             ("transport-test", "[grid]\nL = 20.0\nn = 16\n"),
             # one ulp above L = 8 pi / 1.5
             ("besov-audit", "[grid]\nL = 16.755160819145566\nn = 16\n"),
+            # dx = 2L/n rounds to 0 (a traceback in rfftfreq) or overflows
+            ("simulate", "[grid]\nL = 5e-324\nn = 512\n"),
+            ("besov-audit", "[grid]\nL = 5e-324\nn = 512\n"),
+            ("simulate", "[grid]\nL = 1e308\nn = 512\n"),
         ],
     )
     def test_range_fails_at_load_time(self, tmp_path, capsys, kind, text):
@@ -565,6 +573,70 @@ class TestRunContract:
         rep = json.loads((out / "report.json").read_text())
         assert list(rep) == ["kind", "error", "passed"]
         assert "decay" in rep["error"] and rep["passed"] is False
+
+
+# a fresh process loads these after `load_config`, and each kind's run adds
+# only the solver modules its runner reaches
+STARTUP_MODULES = {"cli", "config", "errors", "experiments", "fields", "lpaley", "svgplot"}
+RUN_MODULES = {
+    "simulate": {"dynamics"},
+    "peakon-verify": {"dynamics", "peakon"},
+    "blowup-study": {"dynamics", "blowup"},
+    "picard": {"dynamics", "transport"},
+    "besov-audit": set(),
+    "transport-test": {"dynamics", "transport"},
+}
+MODULE_PROBE = """
+import json, sys
+import gchlab
+from gchlab import cli, config, experiments
+
+def loaded():
+    return sorted(m[len("gchlab."):] for m in sys.modules if m.startswith("gchlab."))
+
+kind, path, out = sys.argv[1:]
+cfg = config.load_config(path, kind)
+before = loaded()
+polynomial = "numpy.polynomial" in sys.modules
+code = experiments.run_experiment(kind, cfg, out)
+print(json.dumps([before, polynomial, loaded(), code]))
+"""
+
+
+class TestStartup:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_loads_only_its_runners_modules(self, tmp_path, kind):
+        path = write(tmp_path, "k.cfg", SMALL[kind])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gchlab.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", MODULE_PROBE, kind, path, str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        before, polynomial, after, code = json.loads(proc.stdout)
+        assert set(before) == STARTUP_MODULES
+        assert not polynomial
+        assert set(after) - set(before) == RUN_MODULES[kind]
+        assert code == 0
+
+    def test_reexports_resolve_to_their_submodules(self):
+        exported = [name for names in gchlab._EXPORTS.values() for name in names]
+        assert len(exported) == len(set(exported)) == len(gchlab.__all__)
+        for mod, names in gchlab._EXPORTS.items():
+            sub = importlib.import_module(f"gchlab.{mod}")
+            for name in names:
+                assert getattr(gchlab, name) is getattr(sub, name)
+        from gchlab import evolve
+
+        assert evolve is gchlab.dynamics.evolve
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            gchlab.no_such_name
+        assert not hasattr(gchlab, "RHS_FORMS")
 
 
 class TestDeterminism:

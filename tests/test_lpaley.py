@@ -8,6 +8,9 @@ is log-convexity with constant exactly one, so it gets a hard bound.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +38,8 @@ from gchlab import (
 )
 from gchlab.lpaley import AUDIT_IDS, chi_base, smooth_step
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 class TestMollifier:
     def test_step_pins_endpoints(self):
@@ -56,6 +61,53 @@ class TestMollifier:
         assert np.array_equal(c[3:], [0.0, 0.0, 0.0])
         mid = chi_base(np.array([1.0]))[0]
         assert 0.0 < mid < 1.0
+
+
+class TestGaussLegendre:
+    """The bump integral's 200-node table, built without an eigen-solve."""
+
+    def test_matches_leggauss(self):
+        z, w = np.polynomial.legendre.leggauss(lpaley._GL_NODES)
+        x, wx = lpaley._gauss_legendre(lpaley._GL_NODES)
+        assert np.max(np.abs(x - z)) <= 2e-15
+        assert np.max(np.abs(wx / w - 1.0)) <= 1e-10
+
+    def test_even_moments_are_exact(self):
+        x, w = lpaley._gauss_legendre(lpaley._GL_NODES)
+        for m in range(21):
+            assert abs(np.sum(w * x ** (2 * m)) - 2.0 / (2 * m + 1)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_partition_matches_leggauss_reference(self, monkeypatch, n):
+        grid = Grid1D(20.0, n)
+        mult = build_partition(grid).multipliers
+        z, w = np.polynomial.legendre.leggauss(lpaley._GL_NODES)
+        monkeypatch.setattr(lpaley, "_gl_z", z)
+        monkeypatch.setattr(lpaley, "_gl_w", w)
+        monkeypatch.setattr(lpaley, "_BUMP_MASS", float(np.sum(w * lpaley._bump(z))))
+        ref = build_partition(grid).multipliers
+        assert np.max(np.abs(mult - ref)) <= 1e-14
+
+    def test_import_leaves_no_spinning_worker(self):
+        # numpy's own start-up spin is over after the first sleep; an
+        # eigen-solve at import would wake the BLAS worker, which then
+        # spins through the measured sleep
+        code = (
+            "import resource, time\n"
+            "import numpy\n"
+            "time.sleep(0.5)\n"
+            "import gchlab.lpaley\n"
+            "r0 = resource.getrusage(resource.RUSAGE_SELF)\n"
+            "time.sleep(0.3)\n"
+            "r1 = resource.getrusage(resource.RUSAGE_SELF)\n"
+            "print(r1.ru_utime - r0.ru_utime + r1.ru_stime - r0.ru_stime)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        assert float(proc.stdout) < 0.03
 
 
 class TestPartition:

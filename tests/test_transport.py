@@ -23,6 +23,7 @@ from gchlab import (
     synthesize,
     transport_apriori_audit,
 )
+from gchlab.transport import _wrap_periodic
 
 
 def uniform(value):
@@ -119,6 +120,19 @@ class TestTimeSlices:
 
 
 class TestSolveTransport:
+    @pytest.mark.parametrize("L", [20.0, math.pi, 5.0, 7.3])
+    def test_wrap_matches_remainder_bitwise(self, L):
+        rng = np.random.default_rng(11)
+        # the multiples of L, their neighbours one ulp away, and -0
+        seams = np.array([k * L for k in range(-3, 4)] + [-0.0])
+        seams = np.concatenate((seams, np.nextafter(seams, np.inf), np.nextafter(seams, -np.inf)))
+        inside = seams[np.abs(seams) <= 3.0 * L]
+        x = np.concatenate((rng.uniform(-3.0 * L, 3.0 * L, 10**6), inside))
+        ref = (x + L) % (2.0 * L) - L
+        _wrap_periodic(x, L)
+        assert np.array_equal(x, ref)
+        assert np.array_equal(np.signbit(x), np.signbit(ref))
+
     def test_constant_advection_exact(self):
         g = Grid1D(math.pi, 512)
         tp = TransportProblem(g, RealField(g, np.sin(g.x)), uniform(1.0), T=1.0)
