@@ -21,21 +21,12 @@ RHS_FORMS = ("spectral_form", "m_form", "u_form")
 # rejects a config whose fixed step plans more
 MAX_STEPS = 2_000_000
 
-KINDS = (
-    "simulate",
-    "peakon-verify",
-    "blowup-study",
-    "picard",
-    "besov-audit",
-    "transport-test",
-)
-
 # schema: section -> key -> (type tag, default)
 SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
     "simulate": {
         "grid": {"L": ("float", 40.0), "n": ("int", 4096)},
         "run": {
-            "T": ("float", 1.0),
+            "T": ("float", 0.25),
             "rhs_form": ("str", "spectral_form"),
             "cfl_sigma": ("float", 0.3),
             "dt": ("float", 0.0),
@@ -51,7 +42,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
             "decay": ("float", 2.0),
             "seed": ("int", 0),
         },
-        "output": {"plot": ("bool", True), "timestamp": ("bool", False)},
+        "output": {"plot": ("bool", True)},
     },
     "peakon-verify": {
         "grid": {"L": ("float", 40.0), "n": ("int", 4096)},
@@ -76,7 +67,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
             "tol": ("float", 1e-4),
             "order_min": ("float", 1.5),
         },
-        "output": {"plot": ("bool", True), "timestamp": ("bool", False)},
+        "output": {"plot": ("bool", True)},
     },
     "blowup-study": {
         "grid": {"L": ("float", 5.0), "n": ("int", 4096)},
@@ -99,7 +90,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
             "ceiling_factor": ("float", 2.0),
         },
         "sweep": {"amplitudes": ("str", "")},
-        "output": {"plot": ("bool", True), "timestamp": ("bool", False)},
+        "output": {"plot": ("bool", True)},
     },
     "picard": {
         "grid": {"L": ("float", 20.0), "n": ("int", 1024)},
@@ -123,7 +114,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
             "ratio_from": ("int", 3),
             "direct_tol": ("float", 1e-4),
         },
-        "output": {"plot": ("bool", True), "timestamp": ("bool", False)},
+        "output": {"plot": ("bool", True)},
     },
     "besov-audit": {
         "grid": {"L": ("float", 20.0), "n": ("int", 512)},
@@ -134,7 +125,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
             "decay": ("float", 2.0),
         },
         "audits": {"which": ("str", "all")},
-        "output": {"plot": ("bool", False), "timestamp": ("bool", False)},
+        "output": {"plot": ("bool", False)},
     },
     "transport-test": {
         "grid": {"L": ("float", 3.141592653589793), "n": ("int", 512)},
@@ -142,10 +133,11 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
         "run": {"T": ("float", 1.0), "levels": ("int", 4), "dt0": ("float", 0.5)},
         "check": {"order_min": ("float", 3.0), "exact_tol": ("float", 1e-8)},
         "audit": {"s": ("float", 0.5), "dt": ("float", 0.01), "seed": ("int", 0)},
-        "output": {"plot": ("bool", True), "timestamp": ("bool", False)},
+        "output": {"plot": ("bool", True)},
     },
 }
 
+KINDS = tuple(SCHEMAS)
 
 # [data] kinds a runner can build
 DATA_KINDS = ("zero", "gaussian", "peakon", "random")

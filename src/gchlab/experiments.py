@@ -16,6 +16,7 @@ when it runs, so a process loads only the modules of the kind it serves.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -225,15 +226,7 @@ def _blowup_single(cfg: dict, grid: Grid1D, amplitude: float):
     ceiling = cfg["estimate"]["ceiling_factor"] * cond.w_curvature
     record = {
         "amplitude": amplitude,
-        "C_T": cond.C_T,
-        "C_tilde_T": cond.C_tilde_T,
-        "w_curvature": cond.w_curvature,
-        "w_mixed": cond.w_mixed,
-        "verdict": cond.verdict,
-        "bound_time": cond.bound_time,
-        "bound_time_curvature": cond.bound_time_curvature,
-        "bound_time_variant": cond.bound_time_variant,
-        "self_consistent": cond.self_consistent,
+        **dataclasses.asdict(cond),
         "stop_reason": rep.stop_reason,
         "T_est": None,
         "window_mean": None,
@@ -449,7 +442,7 @@ def run_experiment(
         for name, text in out.files.items():
             _write(outdir, name, text)
         if cfg["output"]["plot"]:
-            _write(outdir, "plot.svg", out.chart.render(cfg["output"]["timestamp"]))
+            _write(outdir, "plot.svg", out.chart.render())
         report = {"kind": kind, "config": cfg, **out.body, "passed": out.passed}
     except BaseException as exc:  # error record per contract, then re-raise
         error = f"{type(exc).__name__}: {exc}"

@@ -26,8 +26,10 @@ import numpy as np
 from .errors import ConfigError
 
 # |f(+-L)| above this fraction of max|f| means the field does not decay
-# inside the box and periodic results stop meaning anything.
-POLLUTION_TOL = 1e-10
+# inside the box and periodic results stop meaning anything.  A loose
+# screen: Green-function tails of box-scale data sit around e^{-L}, which is
+# harmless; only genuine wrap-around should abort.
+POLLUTION_TOL = 1e-6
 
 # Truncation threshold for the periodized kernel sum in green_convolve.
 KERNEL_TERM_FLOOR = 1e-16
@@ -222,14 +224,15 @@ def sobolev_norm(f: RealField, s: float) -> float:
     return float(np.sqrt(total))
 
 
-def check_domain_decay(f: RealField, tol: float = POLLUTION_TOL) -> None:
-    """Raise unless max |f| at the two box ends is at most tol times max |f|
-    (the zero field passes)."""
+def check_domain_decay(f: RealField) -> None:
+    """Raise unless max |f| at the two box ends is at most POLLUTION_TOL
+    times max |f| (the zero field passes)."""
     m = np.max(np.abs(f.values))
     r = float(max(abs(f.values[0]), abs(f.values[-1])) / m) if m > 0.0 else 0.0
-    if r > tol:
+    if r > POLLUTION_TOL:
         raise ConfigError(
-            f"field does not decay inside the box: boundary/max ratio {r:.3e} > {tol:.1e}"
+            "field does not decay inside the box: "
+            f"boundary/max ratio {r:.3e} > {POLLUTION_TOL:.1e}"
         )
 
 
@@ -261,7 +264,6 @@ def random_band_limited(
     rng: np.random.Generator,
     frac: float = 1.0 / 3.0,
     decay: float = 2.0,
-    amplitude: float = 1.0,
 ) -> RealField:
     """Random real field supported on |k| <= frac * k_Nyquist.
 
@@ -285,5 +287,7 @@ def random_band_limited(
     vals = synthesize(folded)
     m = np.max(np.abs(vals))
     if m > 0:
-        vals *= amplitude / m
+        # times the reciprocal, not / m: the two round differently, and
+        # seeded corpora keep their bits
+        vals *= 1.0 / m
     return RealField(g, vals)

@@ -321,15 +321,13 @@ _AUDIT_DEFAULTS = {
 }
 
 
-def inequality_audit(
-    corpus: list[RealField], which: str, refine: bool = True
-) -> AuditReport:
+def inequality_audit(corpus: list[RealField], which: str) -> AuditReport:
     """Fit the sharpest constant observed for one textbook inequality.
 
     The corpus must share a grid, and is audited as one (count, n) stack.
     The fitted constant is the max sample ratio, NaN if any ratio is NaN,
-    which fails the audit; with refine=True the corpus is upsampled once
-    (2N) and the constant refitted, and the report records refined/base.
+    which fails the audit.  The corpus is then upsampled once (2N) and the
+    constant refitted, and the report records refined/base.
     The interpolation audit is a hard bound with constant exactly 1.
     """
     if not corpus:
@@ -343,11 +341,9 @@ def inequality_audit(
     values = np.array([f.values for f in corpus])
     ratios = _audit_ratios(g0, values, which, params)
     fitted = float(np.max(ratios))
-    ref_ratio = 1.0
-    if refine:
-        fine = Grid1D(g0.L, 2 * g0.n)
-        fine_ratios = _audit_ratios(fine, refine_values(values), which, params)
-        ref_ratio = float(np.max(fine_ratios)) / fitted
+    fine = Grid1D(g0.L, 2 * g0.n)
+    fine_ratios = _audit_ratios(fine, refine_values(values), which, params)
+    ref_ratio = float(np.max(fine_ratios)) / fitted
     hard_ok = True
     if which == "interpolation":
         hard_ok = fitted <= 1.0 + INTERP_SLACK

@@ -1,14 +1,12 @@
 """Minimal SVG line charts so runs can emit plots without a plotting stack.
 
 Deliberately small: axes, 1-2-5 ticks, a handful of polylines, a legend,
-optional log10 y-axis.  Output is deterministic unless a timestamp comment
-is requested.
+optional log10 y-axis.  Output is deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import time
 
 PALETTE = ("#1f6f8b", "#c1553c", "#5a8f3d", "#7b5ea7", "#b08c2e", "#3f3f3f")
 
@@ -80,7 +78,7 @@ class LineChart:
         pad = 0.04 * (y1 - y0)
         return x0, x1, y0 - pad, y1 + pad
 
-    def render(self, timestamp: bool = False) -> str:
+    def render(self) -> str:
         x0, x1, y0, y1 = self._bounds()
         iw = WIDTH - ML - MR
         ih = HEIGHT - MT - MB
@@ -96,8 +94,6 @@ class LineChart:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
         ]
-        if timestamp:
-            parts.append(f"<!-- rendered {time.strftime('%Y-%m-%dT%H:%M:%S')} -->")
         parts.append(
             f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>'
         )

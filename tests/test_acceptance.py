@@ -12,36 +12,40 @@ import time
 import numpy as np
 import pytest
 
-from gchlab import (
-    Grid1D,
-    PeakonSolution,
-    RealField,
-    SolverConfig,
-    TestFunction,
+from gchlab.blowup import (
     accumulator_shape,
-    build_partition,
     check_condition,
-    dyadic_block,
     estimate_blowup_time,
-    evolve,
-    green_convolve,
-    helmholtz_inverse,
-    inequality_audit,
-    lp_norm,
-    peakon_field,
-    picard_run,
-    random_band_limited,
     rate_report,
-    reconstruct,
-    refinement_study,
-    rhs_m_form,
-    rhs_spectral_form,
-    rhs_u_form,
     riccati_bound_time,
     riccati_solve,
 )
 from gchlab.cli import main
-from gchlab.fields import apply_one_minus_dxx
+from gchlab.dynamics import (
+    SolverConfig,
+    evolve,
+    rhs_m_form,
+    rhs_spectral_form,
+    rhs_u_form,
+)
+from gchlab.fields import (
+    Grid1D,
+    RealField,
+    apply_one_minus_dxx,
+    green_convolve,
+    helmholtz_inverse,
+    lp_norm,
+    random_band_limited,
+)
+from gchlab.lpaley import (
+    besov_norm,
+    build_partition,
+    dyadic_block,
+    inequality_audit,
+    reconstruct,
+)
+from gchlab.peakon import PeakonSolution, TestFunction, peakon_field, refinement_study
+from gchlab.transport import picard_run
 
 # every evolve() performed by the fixtures lands here for criterion 6
 RUN_POOL = []
@@ -216,8 +220,6 @@ def test_c05_dyadic_analysis(capsys):
 
     gm = Grid1D(math.pi, 512)
     pm = build_partition(gm)
-    from gchlab import besov_norm
-
     mode_ratios = [
         besov_norm(RealField(gm, np.cos(m * gm.x)), 0.0, 2.0, 2.0, pm)
         / lp_norm(RealField(gm, np.cos(m * gm.x)), 2.0)
@@ -225,7 +227,7 @@ def test_c05_dyadic_analysis(capsys):
     ]
     mode_ok = all(2.0**-0.5 - 1e-12 <= r <= 1.0 + 1e-12 for r in mode_ratios)
 
-    audit = inequality_audit(corpus, "interpolation", refine=False)
+    audit = inequality_audit(corpus, "interpolation")
     interp_ok = audit.hard_ok and audit.fitted_constant <= 1.0 + 1e-12
 
     ok = recon <= 1e-12 and sq_ok and mode_ok and interp_ok

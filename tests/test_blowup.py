@@ -5,12 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gchlab import (
+from gchlab.blowup import (
     BlowupEstimate,
-    ConfigError,
-    EstimationError,
-    Grid1D,
-    RealField,
     accumulator_shape,
     check_condition,
     compute_CT,
@@ -18,8 +14,9 @@ from gchlab import (
     rate_report,
     riccati_bound_time,
     riccati_solve,
-    sobolev_norm,
 )
+from gchlab.errors import ConfigError, EstimationError
+from gchlab.fields import Grid1D, RealField, sobolev_norm
 
 # closed-form divergence times t* = -(1/2C) log((w0+C)/(w0-C))
 T_STAR_1_2 = 0.5493061443340549  # C=1, w0=-2: (1/2) log 3

@@ -1,7 +1,6 @@
 """Config grammar, canonical echo, CLI exit codes, artifact determinism."""
 
 import contextlib
-import importlib
 import io
 import json
 import math
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gchlab
-from gchlab import ConfigError, experiments
+from gchlab import experiments
 from gchlab.cli import main
 from gchlab.config import (
     KINDS,
@@ -26,6 +25,7 @@ from gchlab.config import (
     default_config,
     parse_config,
 )
+from gchlab.errors import ConfigError
 
 SIM_SMOKE = """
 [grid]
@@ -70,7 +70,6 @@ class TestGrammar:
         assert cfg["grid"]["n"] == 4096
         assert cfg["run"]["cfl_sigma"] == 0.3
         assert cfg["data"]["kind"] == "gaussian"
-        assert cfg["output"]["timestamp"] is False
 
     def test_partial_override_keeps_other_defaults(self):
         cfg = parse_config("[grid]\nn = 256\n", "simulate")
@@ -386,6 +385,17 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_timestamp_is_an_unknown_key(self, tmp_path, capsys, kind):
+        path = write(tmp_path, "t.cfg", "[output]\ntimestamp = false\n")
+        out = tmp_path / "o"
+        rc = main([kind, "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "unknown key 'timestamp' in [output]" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_range_edges_accepted(self):
         text = "[run]\ncfl_sigma = 1.0\nmonitor_every = 1\n"
         cfg = parse_config(text, "simulate")
@@ -431,6 +441,16 @@ class TestCli:
         assert rep["passed"] is True
         header = open(os.path.join(out, "series.csv")).readline().strip()
         assert header == "t,E,w_linf,w_bound,ux_linf,ux_bound,B,min_uxx,xi"
+
+    def test_empty_simulate_config_reaches_the_horizon(self, tmp_path, capsys):
+        # the default data steepens; the default horizon ends before the
+        # default grid stops resolving it
+        path = write(tmp_path, "e.cfg", "")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert "simulate: PASS" in capsys.readouterr().out
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["summary"]["stop_reason"] == "horizon"
 
     def test_zero_data_simulate_passes(self, tmp_path):
         path = write(tmp_path, "z.cfg", '[grid]\nn = 256\n[run]\nT = 0.1\n[data]\nkind = "zero"\n')
@@ -621,22 +641,6 @@ class TestStartup:
         assert not polynomial
         assert set(after) - set(before) == RUN_MODULES[kind]
         assert code == 0
-
-    def test_reexports_resolve_to_their_submodules(self):
-        exported = [name for names in gchlab._EXPORTS.values() for name in names]
-        assert len(exported) == len(set(exported)) == len(gchlab.__all__)
-        for mod, names in gchlab._EXPORTS.items():
-            sub = importlib.import_module(f"gchlab.{mod}")
-            for name in names:
-                assert getattr(gchlab, name) is getattr(sub, name)
-        from gchlab import evolve
-
-        assert evolve is gchlab.dynamics.evolve
-
-    def test_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-            gchlab.no_such_name
-        assert not hasattr(gchlab, "RHS_FORMS")
 
 
 class TestDeterminism:

@@ -5,35 +5,36 @@ import math
 import numpy as np
 import pytest
 
-from gchlab import (
-    ConfigError,
-    DivergedError,
-    Grid1D,
-    RealField,
+from gchlab import dynamics, fields
+from gchlab.config import RHS_FORMS
+from gchlab.dynamics import (
+    SPEED_FLOOR,
+    RunReport,
     SolverConfig,
     energy,
     evolve,
-    helmholtz_inverse,
-    lp_norm,
-    peakon_field,
-    random_band_limited,
+    momentum_coefficients,
+    refined_min,
     rhs_m_form,
     rhs_spectral_form,
     rhs_u_form,
-    sobolev_norm,
-    stability_experiment,
+    spectral_tail_fraction,
     step,
 )
-from gchlab import dynamics, fields
-from gchlab.dynamics import (
-    RHS_FORMS,
-    SPEED_FLOOR,
-    RunReport,
-    momentum_coefficients,
-    refined_min,
-    spectral_tail_fraction,
+from gchlab.errors import ConfigError, DivergedError
+from gchlab.fields import (
+    Grid1D,
+    RealField,
+    apply_one_minus_dxx,
+    derivative,
+    helmholtz_inverse,
+    lp_norm,
+    random_band_limited,
+    sobolev_norm,
+    spectrum,
+    synthesize,
 )
-from gchlab.fields import apply_one_minus_dxx, derivative, spectrum, synthesize
+from gchlab.peakon import peakon_field
 
 
 def gaussian(grid, A=0.8, width=2.0):
@@ -343,32 +344,3 @@ class TestMonitors:
         slopes = np.diff(B) / np.diff(tt)
         assert np.max(slopes) / np.min(slopes) < 1.1
 
-
-class TestStability:
-    def test_perturbation_growth_is_tame(self):
-        g = Grid1D(40.0, 512)
-        u0 = gaussian(g)
-        v0 = RealField(g, u0.values + 1e-6 * np.cos(math.pi * g.x / g.L))
-        rep = stability_experiment(u0, v0, SolverConfig(T=0.5, monitor_every=10))
-        assert not rep.perfect_match
-        assert rep.distances[0] == 1.0
-        assert rep.ratio_sup < 10.0
-
-    @pytest.mark.parametrize("dt", [0.2, None])
-    def test_ends_at_horizon(self, dt):
-        # a fixed dt that does not divide T still ends the run at T
-        g = Grid1D(40.0, 256)
-        u0 = gaussian(g)
-        v0 = RealField(g, u0.values + 1e-6 * np.cos(math.pi * g.x / g.L))
-        cfg = SolverConfig(T=0.5, dt=dt, monitor_every=1)
-        rep = stability_experiment(u0, v0, cfg)
-        assert rep.times[-1] == pytest.approx(0.5, rel=1e-12)
-        steps = np.diff(rep.times)
-        assert np.allclose(steps, steps[0], rtol=1e-12)
-        assert dt is None or steps[0] <= dt
-
-    def test_identical_data_short_circuits(self):
-        g = Grid1D(40.0, 256)
-        u0 = gaussian(g)
-        rep = stability_experiment(u0, gaussian(g), SolverConfig(T=0.2))
-        assert rep.perfect_match

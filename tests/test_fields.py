@@ -15,28 +15,26 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gchlab
-from gchlab import (
-    ConfigError,
+from gchlab.errors import ConfigError
+from gchlab.fields import (
     Grid1D,
     RealField,
+    apply_one_minus_dxx,
+    check_domain_decay,
+    dealias_mask,
     derivative,
     green_convolve,
     helmholtz_inverse,
     lp_norm,
-    peakon_field,
+    periodized_kernel,
+    power,
     random_band_limited,
     refine_field,
     sobolev_norm,
     spectrum,
     synthesize,
 )
-from gchlab.fields import (
-    apply_one_minus_dxx,
-    check_domain_decay,
-    dealias_mask,
-    periodized_kernel,
-    power,
-)
+from gchlab.peakon import peakon_field
 
 # int_0^inf (1+k^2)^{-1/2}/(4+k^2) dk, full line, via adaptive quadrature
 PEAKON_H32_LINE = 0.3478689750055727

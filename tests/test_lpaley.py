@@ -15,28 +15,31 @@ import sys
 import numpy as np
 import pytest
 
-from gchlab import (
-    ConfigError,
+from gchlab import fields, lpaley
+from gchlab.errors import ConfigError
+from gchlab.fields import (
     Grid1D,
     RealField,
-    besov_norm,
-    build_partition,
     derivative,
-    dyadic_block,
-    fields,
-    inequality_audit,
     lp_norm,
-    lpaley,
-    low_cutoff,
-    partition_for,
     random_band_limited,
-    reconstruct,
     refine_field,
     sobolev_norm,
     spectrum,
     synthesize,
 )
-from gchlab.lpaley import AUDIT_IDS, chi_base, smooth_step
+from gchlab.lpaley import (
+    AUDIT_IDS,
+    besov_norm,
+    build_partition,
+    chi_base,
+    dyadic_block,
+    inequality_audit,
+    low_cutoff,
+    partition_for,
+    reconstruct,
+    smooth_step,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -226,8 +229,6 @@ class TestBesovNorm:
     def test_single_mode_ratio_bounds(self):
         g = Grid1D(math.pi, 512)
         part = build_partition(g)
-        from gchlab import lp_norm
-
         for m in (1, 2, 5, 16, 40, 100):
             f = RealField(g, np.cos(m * g.x))
             ratio = besov_norm(f, 0.0, 2.0, 2.0, part) / lp_norm(f, 2.0)

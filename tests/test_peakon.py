@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gchlab import (
-    ConfigError,
-    Grid1D,
+from gchlab.errors import ConfigError
+from gchlab.fields import Grid1D
+from gchlab.peakon import (
     PeakonSolution,
     TestFunction,
     peakon_energy,

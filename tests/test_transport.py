@@ -5,25 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from gchlab import (
-    ConfigError,
+from gchlab.dynamics import SolverConfig, evolve
+from gchlab.errors import ConfigError
+from gchlab.fields import (
     Grid1D,
     RealField,
-    SolverConfig,
-    TimeSlices,
-    TransportProblem,
-    cubic_interp_periodic,
-    evolve,
     helmholtz_inverse,
     lp_norm,
+    spectrum,
+    synthesize,
+)
+from gchlab.transport import (
+    TimeSlices,
+    TransportProblem,
+    _wrap_periodic,
+    cubic_interp_periodic,
     picard_bound,
     picard_run,
     solve_transport,
-    spectrum,
-    synthesize,
     transport_apriori_audit,
 )
-from gchlab.transport import _wrap_periodic
 
 
 def uniform(value):
