@@ -228,7 +228,6 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
     "peakon-verify": _EVOLVE
     + (
         ("wave", "speed", lambda v, _: v > 0, "> 0"),
-        ("residual", "levels", lambda v, _: v >= 2, ">= 2 (an order fit needs two)"),
         ("residual", "sigma", lambda v, _: v > 0, "> 0"),
         # the test function's support [x0 - sigma, x0 + sigma] stays in the box
         (
@@ -240,6 +239,16 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
         ),
         ("residual", "nx0", lambda v, _: v >= 4, ">= 4 (quadrature cells)"),
         ("residual", "nt0", lambda v, _: v >= 4, ">= 4 (quadrature cells)"),
+        # an order fit needs two levels, and the finest rung of the ladder
+        # has nx0 nt0 4^(levels - 1) nodes
+        (
+            "residual",
+            "levels",
+            lambda v, cfg: v >= 2
+            and cfg["residual"]["nx0"] * cfg["residual"]["nt0"]
+            <= math.ldexp(1.0, 24 - 2 * (v - 1)),
+            ">= 2 with nx0 * nt0 * 4^(levels - 1) <= 2^24 (nodes on the finest rung)",
+        ),
     ),
     "blowup-study": _EVOLVE
     + (

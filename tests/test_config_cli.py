@@ -319,6 +319,12 @@ class TestCli:
             # one level gives no order to fit: an error, or a PASS on noise
             ("peakon-verify", "[residual]\nlevels = 1\n"),
             ("transport-test", "[run]\nlevels = 1\n"),
+            # the residual ladder's finest rung above 2^24 nodes: endless
+            # runs or a MemoryError, and 2^levels is never built to say so
+            ("peakon-verify", "[residual]\nlevels = 40\n"),
+            ("peakon-verify", "[residual]\nnx0 = 1000000\n"),
+            ("peakon-verify", "[residual]\nlevels = 1000000000000000000000000\n"),
+            ("peakon-verify", "[residual]\nnx0 = 64\nnt0 = 65\nlevels = 7\n"),
             ("besov-audit", '[audits]\nwhich = "embedding,sobolev"\n'),
             ("besov-audit", '[audits]\nwhich = ""\n'),  # would audit nothing
             ("besov-audit", "[corpus]\ncount = 0\n"),
@@ -409,6 +415,10 @@ class TestCli:
             text = f"[residual]\nx0 = {x0}\nsigma = 1.5\nnx0 = 4\nnt0 = 4\n"
             cfg = parse_config(text, "peakon-verify")
             assert (cfg["residual"]["x0"], cfg["residual"]["nx0"]) == (x0, 4)
+        # the residual ladder's finest rung, 4096 x 4096, has exactly 2^24 nodes
+        text = "[residual]\nnx0 = 64\nnt0 = 64\nlevels = 7\n"
+        rs = parse_config(text, "peakon-verify")["residual"]
+        assert (rs["nx0"] << rs["levels"] - 1) * (rs["nt0"] << rs["levels"] - 1) == 2**24
         cfg = parse_config("[corpus]\nfrac = 1.0\n", "besov-audit")
         assert cfg["corpus"]["frac"] == 1.0
         cfg = parse_config("[grid]\nn = 512\n[corpus]\nfrac = 0.00390625\n", "besov-audit")

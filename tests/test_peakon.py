@@ -1,10 +1,13 @@
 """Exact travelling wave, test functions, and the weak-form quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gchlab import peakon
+from gchlab.config import parse_config
 from gchlab.errors import ConfigError
 from gchlab.fields import Grid1D
 from gchlab.peakon import (
@@ -31,6 +34,26 @@ class ZeroProvider:
 
     def crest(self, t):
         return None
+
+
+def line_loop_residual(provider, phi, T, nx, nt, crest_split):
+    """Reference: the weak residual one time line at a time."""
+    a, b = phi.support
+    ts = np.linspace(0.0, T, nt + 1)
+    lines, ends = np.empty(nt + 1), []
+    for i, t in enumerate(ts):
+        xs = np.linspace(a, b, nx + 1)
+        crest = provider.crest(t) if crest_split else None
+        if crest is not None and a < crest < b:
+            xs = np.sort(np.append(xs, crest))
+        bv, b1, b2 = phi.bump(xs)
+        P, Pt = phi.time_factor(t)
+        w = provider.w(t, xs)
+        ub = provider.u(t, xs) * (bv - b2)
+        lines[i] = np.trapezoid(Pt * ub + P * w * w * (b2 - 2.0 * b1), xs)
+        if i in (0, nt):
+            ends.append(P * np.trapezoid(ub, xs))
+    return abs(float(np.trapezoid(lines, ts)) - float(ends[1] - ends[0]))
 
 
 class TestWaveProfile:
@@ -112,6 +135,7 @@ class TestWaveProfile:
         sol = PeakonSolution(1.0, L)
         assert sol.crest(2.0) == pytest.approx(2.0)
         assert sol.crest(L + 1.0) == pytest.approx(1.0 - L)
+        assert np.allclose(sol.crest(np.array([2.0, L + 1.0])), [2.0, 1.0 - L])
 
 
 class TestTestFunction:
@@ -170,6 +194,48 @@ class TestWeakResidual:
         plain = weak_residual(sol, phi, T=1.0, nx=64, nt=64, crest_split=False)
         split = weak_residual(sol, phi, T=1.0, nx=64, nt=64, crest_split=True)
         assert split <= plain * 1.5  # never much worse, usually better
+
+    @pytest.mark.parametrize("block_nodes", [peakon.BLOCK_NODES, 300])
+    @pytest.mark.parametrize(
+        "provider,x0,sigma,T",
+        [
+            (PeakonSolution(1.0, L), 0.5, 1.5, 1.0),  # crest inside throughout
+            (PeakonSolution(1.0, L), 0.5, 1.5, 3.0),  # crest leaves at t = 2
+            (PeakonSolution(1.3, 4.0), -2.5, 1.0, 6.0),  # crest wraps in at t = 4.5/1.3
+            (ZeroProvider(), 0.0, 2.0, 1.0),  # no crest: never split
+        ],
+    )
+    @pytest.mark.parametrize("crest_split", [False, True])
+    def test_blocks_match_the_line_loop(
+        self, monkeypatch, block_nodes, provider, x0, sigma, T, crest_split
+    ):
+        monkeypatch.setattr(peakon, "BLOCK_NODES", block_nodes)
+        phi = TestFunction(x0, sigma, poly=(1.0, 0.5, -0.25, 0.125))
+        # 201 lines do not fill a whole number of blocks at either size
+        for nx, nt in ((32, 32), (64, 200), (256, 44)):
+            ref = line_loop_residual(provider, phi, T, nx, nt, crest_split)
+            got = weak_residual(provider, phi, T, nx, nt, crest_split)
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    def test_refinement_memory_is_bounded(self):
+        # unblocked, the finest rung's (257, 258) temporaries peak near 6 MB
+        rs = parse_config("", "peakon-verify")["residual"]
+        phi = TestFunction(rs["x0"], rs["sigma"], (rs["p0"], rs["p1"], rs["p2"], rs["p3"]))
+        tracemalloc.start()
+        try:
+            refinement_study(
+                PeakonSolution(1.0, L),
+                phi,
+                1.0,
+                levels=rs["levels"],
+                nx0=rs["nx0"],
+                nt0=rs["nt0"],
+                crest_split=rs["crest_split"],
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_quadrature_validation(self):
         sol = PeakonSolution(1.0, L)
