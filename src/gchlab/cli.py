@@ -10,6 +10,13 @@ from .errors import ConfigError, DivergedError, EstimationError
 from .experiments import run_experiment
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a decimal integer >= 0, as numpy's default_rng takes."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gchlab",
@@ -20,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(kind, help=f"run a {kind} experiment")
         sp.add_argument("--config", required=True, help="path to a config document")
         sp.add_argument("--out", default="gchlab_out", help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override the RNG seed")
+        sp.add_argument("--seed", type=_seed, default=None, help="override the RNG seed")
         sp.add_argument(
             "--threads", type=int, default=1, help="accepted; starts no thread"
         )

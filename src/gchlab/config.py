@@ -210,6 +210,13 @@ _DT = (
     f"0 (the default step) or > 0 with [run] T / dt <= {MAX_STEPS}",
 )
 _WIDTH = ("data", "width", lambda v, _: v > 0, "> 0")
+
+
+def _seed(sec: str) -> tuple:
+    """The [sec] seed range: numpy's default_rng takes seeds >= 0."""
+    return (sec, "seed", lambda v, _: v >= 0, ">= 0")
+
+
 _EVOLVE = _GRID + (
     _T,
     ("run", "cfl_sigma", lambda v, _: 0 < v <= 1, "in (0, 1]"),
@@ -224,6 +231,7 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
         ("run", "rhs_form", lambda v, _: v in RHS_FORMS, f"one of {RHS_FORMS}"),
         ("data", "kind", lambda v, _: v in DATA_KINDS, f"one of {DATA_KINDS}"),
         _WIDTH,
+        _seed("data"),
     ),
     "peakon-verify": _EVOLVE
     + (
@@ -253,6 +261,8 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
     "blowup-study": _EVOLVE
     + (
         _WIDTH,
+        # rate_report fits its trend on at least three samples
+        ("estimate", "window", lambda v, _: v >= 3, ">= 3"),
         (
             "sweep",
             "amplitudes",
@@ -281,10 +291,12 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
             "one of zero, gaussian, random",
         ),
         _WIDTH,
+        _seed("data"),
     ),
     "besov-audit": _PARTITION_GRID
     + (
         ("corpus", "count", lambda v, _: v >= 1, ">= 1"),
+        _seed("corpus"),
         # below 2/n the band |k| <= frac * k_Nyquist holds no mode but k = 0
         (
             "corpus",
@@ -318,6 +330,7 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
             lambda v, cfg: v > 0 and _steps_ok(cfg["run"]["T"], 0.5 * v),
             f"> 0 with 2 [run] T / dt <= {MAX_STEPS}",
         ),
+        _seed("audit"),
     ),
 }
 

@@ -228,8 +228,6 @@ def step(
 
 @dataclass
 class RunReport:
-    grid: Grid1D
-    cfg: SolverConfig
     times: list[float] = dfield(default_factory=list)
     energy: list[float] = dfield(default_factory=list)
     w_linf: list[float] = dfield(default_factory=list)
@@ -302,7 +300,7 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
     check_domain_decay(u0)
     g = u0.grid
     kern = _kernel(g)
-    rep = RunReport(grid=g, cfg=cfg)
+    rep = RunReport()
 
     ch = spectrum(u0.values)
     w0 = synthesize(kern.to_w * ch)

@@ -347,20 +347,14 @@ def run_besov_audit(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
 
 
 def run_transport_test(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
-    from .transport import (
-        TimeSlices,
-        TransportProblem,
-        solve_transport,
-        transport_apriori_audit,
-    )
+    from .transport import TimeSlices, solve_transport, transport_apriori_audit
 
     rcfg = cfg["run"]
     T = rcfg["T"]
 
     # constant advection: exact trace, error is pure interpolation
     f0 = RealField(grid, np.sin(np.pi / grid.L * grid.x))
-    tp_const = TransportProblem(grid, f0, lambda t, x: np.ones_like(x), None, T)
-    sol = solve_transport(tp_const, rcfg["dt0"], np.array([0.0, T]))
+    sol = solve_transport(f0, lambda t, x: np.ones_like(x), rcfg["dt0"], np.array([0.0, T]))
     exact_vals = np.sin(np.pi / grid.L * (grid.x - T))
     const_err = float(np.max(np.abs(sol.frames[-1] - exact_vals)))
 
@@ -370,10 +364,7 @@ def run_transport_test(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     f0m = RealField(grid, np.sin(grid.x))
     for lev in range(rcfg["levels"]):
         dt = rcfg["dt0"] / 2**lev
-        tp = TransportProblem(
-            grid, f0m, lambda t, x: np.full_like(x, math.cos(t)), None, T
-        )
-        s = solve_transport(tp, dt, np.array([T]))
+        s = solve_transport(f0m, lambda t, x: np.full_like(x, math.cos(t)), dt, np.array([T]))
         errs.append(float(np.max(np.abs(s.frames[0] - np.sin(grid.x - math.sin(T))))))
         dts.append(dt)
     order = float(
@@ -385,8 +376,7 @@ def run_transport_test(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     vfield = random_band_limited(grid, rng)
     ffield = random_band_limited(grid, rng)
     frozen = TimeSlices(grid, np.array([0.0, T]), np.tile(vfield.values, (2, 1)))
-    tp_audit = TransportProblem(grid, ffield, frozen, None, T)
-    audit = transport_apriori_audit(tp_audit, acfg["dt"], s=acfg["s"])
+    audit = transport_apriori_audit(ffield, frozen, T, acfg["dt"], s=acfg["s"])
 
     chart = LineChart("manufactured-solution convergence", "level", "error", logy=True)
     chart.add("max error", range(len(errs)), errs)

@@ -148,38 +148,15 @@ class TimeSlices:
         return _cubic_eval(last[1], self.grid, xq)
 
 
-def _as_sampler(v, grid: Grid1D):
-    # accepts TimeSlices, or any callable (t, x_array) -> array
-    if isinstance(v, TimeSlices):
-        if v.grid is not grid and (v.grid.L != grid.L or v.grid.n != grid.n):
-            raise ConfigError("velocity slices live on a different grid")
-        return v
-    if callable(v):
-        return v
-    raise ConfigError("velocity/source must be TimeSlices or callable(t, x)")
-
-
-@dataclass
-class TransportProblem:
-    grid: Grid1D
-    f0: RealField
-    velocity: object  # TimeSlices or callable(t, x) -> ndarray
-    source: object | None = None
-    T: float = 1.0
-
-    def __post_init__(self):
-        if self.T <= 0:
-            raise ConfigError(f"horizon must be positive, got T={self.T}")
-        if self.f0.grid.L != self.grid.L or self.f0.grid.n != self.grid.n:
-            raise ConfigError("initial data lives on a different grid")
-
-
 def solve_transport(
-    tp: TransportProblem, dt: float, out_times: np.ndarray | None = None
+    f0: RealField, velocity, dt: float, out_times, source=None
 ) -> TimeSlices:
     """March characteristics backward from each output time to the previous one.
 
-    Output times must be finite, >= 0 and strictly increasing; t=0 with f0
+    Solves on f0's grid.  Velocity and source are `TimeSlices` on a grid of
+    the same L and n, or any callable (t, x_array) -> array; no source means
+    g = 0.  Output times are required: they must be finite, >= 0 and
+    strictly increasing, and the last one is the horizon; t=0 with f0
     is the implicit first frame.  Each interval [t_{i-1}, t_i] gets its own
     RK4 backtrace in round((t_i - t_{i-1})/dt) steps (at least one), and the
     frame is the previous frame interpolated at the feet plus the trapezoid
@@ -201,11 +178,12 @@ def solve_transport(
     """
     if dt <= 0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    g = tp.grid
-    vel = _as_sampler(tp.velocity, g)
-    src = _as_sampler(tp.source, g) if tp.source is not None else None
-    if out_times is None:
-        out_times = np.array([0.0, tp.T])
+    g = f0.grid
+    for sampler in (velocity,) if source is None else (velocity, source):
+        if not callable(sampler):
+            raise ConfigError("velocity/source must be TimeSlices or callable(t, x)")
+        if isinstance(sampler, TimeSlices) and (sampler.grid.L, sampler.grid.n) != (g.L, g.n):
+            raise ConfigError("velocity/source slices live on a different grid")
     out_times = np.asarray(out_times, dtype=float)
     if out_times.ndim != 1 or len(out_times) < 1:
         raise ConfigError("need a 1-d array of at least one output time")
@@ -214,7 +192,7 @@ def solve_transport(
     if np.any(np.diff(out_times) <= 0):
         raise ConfigError("output times must be strictly increasing")
     frames = np.empty((len(out_times), g.n))
-    frame = tp.f0.values
+    frame = f0.values
     t_prev = 0.0
     for oi, tout in enumerate(out_times):
         if tout == 0.0:
@@ -224,25 +202,36 @@ def solve_transport(
         h = (tout - t_prev) / nst
         x = g.x.copy()
         acc = np.zeros(g.n)
-        s_here = src(tout, x) if src is not None else None
+        s_here = source(tout, x) if source is not None else None
         t = tout
         for _ in range(nst):
             # RK4 for dx/dt = v along the reversed path
-            k1 = vel(t, x)
-            k2 = vel(t - 0.5 * h, x - 0.5 * h * k1)
-            k3 = vel(t - 0.5 * h, x - 0.5 * h * k2)
-            k4 = vel(t - h, x - h * k3)
+            k1 = velocity(t, x)
+            k2 = velocity(t - 0.5 * h, x - 0.5 * h * k1)
+            k3 = velocity(t - 0.5 * h, x - 0.5 * h * k2)
+            k4 = velocity(t - h, x - h * k3)
             x = x - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             _wrap_periodic(x, g.L)
             t -= h
-            if src is not None:
-                s_prev = src(t, x)
+            if source is not None:
+                s_prev = source(t, x)
                 acc += 0.5 * h * (s_here + s_prev)
                 s_here = s_prev
         frame = cubic_interp_periodic(frame, g, x) + acc
         frames[oi] = frame
         t_prev = tout
     return TimeSlices(g, out_times, frames)
+
+
+def _least(ok, lo: float, hi: float, steps: int) -> float:
+    """Bisect [lo, hi] toward the least C with ok(C), given ok(hi)."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass
@@ -254,79 +243,54 @@ class AprioriReport:
 
 
 def transport_apriori_audit(
-    tp: TransportProblem,
-    dt: float,
-    s: float = 0.5,
+    f0: RealField, velocity, T: float, dt: float, s: float = 0.5
 ) -> AprioriReport:
-    """Fit the smallest C >= 0 making the transport growth bound hold.
+    """Fit the smallest C >= 0 making the source-free transport bound hold.
 
     The bound reads, with V(t) the time integral of ||v||_{B^{s+2}},
 
-       ||f(t)||_{B^s} <= e^{CV(t)} ( ||f0||_{B^s}
-                          + int_0^t e^{-CV(tau)} ||g(tau)||_{B^s} dtau ).
+       ||f(t)||_{B^s} <= e^{CV(t)} ||f0||_{B^s}.
 
     A-priori theory guarantees some finite C; the audit fits it by
-    bisection at nine evenly spaced times and checks it is stable under
-    halving dt.
+    bisection at nine evenly spaced times in [0, T] and checks it is stable
+    under halving dt.  The velocity norms, ||f0|| and V(t) are computed once;
+    each dt run solves and takes the nine frame norms.
     """
-    g = tp.grid
+    g = f0.grid
     part = partition_for(g)
-    out_times = np.linspace(0.0, tp.T, 9)
+    out_times = np.linspace(0.0, T, 9)
+    vnorm = np.array(
+        [
+            besov_norm(RealField(g, np.asarray(velocity(t, g.x))), s + 2.0, 2.0, 2.0, part)
+            for t in out_times
+        ]
+    )
+    V = np.concatenate(
+        [[0.0], np.cumsum(0.5 * np.diff(out_times) * (vnorm[1:] + vnorm[:-1]))]
+    )
+    a0 = besov_norm(f0, s, 2.0, 2.0, part)
 
-    def ratios_for(dt_run: float) -> np.ndarray:
-        sol = solve_transport(tp, dt_run, out_times)
-        vel = _as_sampler(tp.velocity, g)
+    def fit(dt_run: float) -> tuple[np.ndarray, float]:
+        sol = solve_transport(f0, velocity, dt_run, out_times)
         lhs = np.array(
             [besov_norm(RealField(g, fr), s, 2.0, 2.0, part) for fr in sol.frames]
         )
-        vnorm = np.array(
-            [
-                besov_norm(RealField(g, np.asarray(vel(t, g.x))), s + 2.0, 2.0, 2.0, part)
-                for t in out_times
-            ]
-        )
-        gnorm = np.zeros(len(out_times))
-        if tp.source is not None:
-            src = _as_sampler(tp.source, g)
-            gnorm = np.array(
-                [
-                    besov_norm(RealField(g, np.asarray(src(t, g.x))), s, 2.0, 2.0, part)
-                    for t in out_times
-                ]
-            )
-        a0 = besov_norm(tp.f0, s, 2.0, 2.0, part)
-
-        def rhs_for(C: float) -> np.ndarray:
-            V = np.concatenate(
-                [[0.0], np.cumsum(0.5 * np.diff(out_times) * (vnorm[1:] + vnorm[:-1]))]
-            )
-            damped = np.exp(-C * V) * gnorm
-            I = np.concatenate(
-                [[0.0], np.cumsum(0.5 * np.diff(out_times) * (damped[1:] + damped[:-1]))]
-            )
-            return np.exp(C * V) * (a0 + I)
 
         def ok(C: float) -> bool:
-            r = rhs_for(C)
-            return bool(np.all(lhs <= r * (1.0 + 1e-12) + 1e-300))
+            return bool(np.all(lhs <= np.exp(C * V) * a0 * (1.0 + 1e-12) + 1e-300))
 
-        if ok(0.0):
-            return lhs / np.maximum(rhs_for(0.0), 1e-300), 0.0
-        lo, hi = 0.0, 1.0
-        while not ok(hi):
-            hi *= 2.0
-            if hi > 1e8:
-                raise EstimationError("no finite C satisfies the growth bound")
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        return lhs / np.maximum(rhs_for(hi), 1e-300), hi
+        C = 0.0
+        if not ok(C):
+            hi = 1.0
+            while not ok(hi):
+                hi *= 2.0
+                if hi > 1e8:
+                    raise EstimationError("no finite C satisfies the growth bound")
+            C = _least(ok, 0.0, hi, 60)
+        return lhs / np.maximum(np.exp(C * V) * a0, 1e-300), C
 
-    ratios, C = ratios_for(dt)
-    C_ref = ratios_for(0.5 * dt)[1]
+    ratios, C = fit(dt)
+    C_ref = fit(0.5 * dt)[1]
     drift = abs(C_ref - C) / max(C, 1.0)
     passed = bool(np.all(ratios <= 1.0 + 1e-9)) and drift < 0.5
     return AprioriReport(C, ratios, drift, passed)
@@ -344,7 +308,6 @@ def picard_bound(m0_norm: float, C: float, T: float) -> float:
 
 @dataclass
 class PicardReport:
-    times: np.ndarray
     d: list[float]  # d_n = sup_t distance between consecutive iterates
     ratios: list[float]
     sup_norms: list[float]
@@ -384,10 +347,13 @@ def picard_run(
     sups: list[float] = [m0_norm]
     for it in range(1, n_iter + 1):
         vel, src = momentum_coefficients(g, prev.frames, spectrum(prev.frames))
-        tp = TransportProblem(
-            g, low_cutoff(m0, it, part), TimeSlices(g, times, vel), TimeSlices(g, times, src), T
+        cur = solve_transport(
+            low_cutoff(m0, it, part),
+            TimeSlices(g, times, vel),
+            dt,
+            times,
+            TimeSlices(g, times, src),
         )
-        cur = solve_transport(tp, dt, times)
         dist = max(
             besov_norm(RealField(g, cur.frames[i] - prev.frames[i]), s - 1.0, 2.0, 2.0, part)
             for i in range(len(times))
@@ -402,7 +368,7 @@ def picard_run(
         prev = cur
     ratios = [d[i + 1] / d[i] if d[i] > 0 else 0.0 for i in range(len(d) - 1)]
 
-    # smallest C >= 1 whose geometric bound dominates the observed ladder
+    # smallest C whose geometric bound dominates the observed ladder
     def dominated(C: float) -> bool:
         q = 2.0 * C * C * m0_norm * T
         if q >= 1.0:
@@ -417,20 +383,11 @@ def picard_run(
     else:
         hi = math.sqrt(1.0 / (2.0 * m0_norm * T)) * (1.0 - 1e-9)
         if dominated(hi):
-            lo = 0.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if dominated(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            fitted_C = hi
+            fitted_C = _least(dominated, 0.0, hi, 80)
             bound = picard_bound(m0_norm, fitted_C, T)
             small_ok = True
         else:
             fitted_C = float("inf")
             bound = None
             small_ok = False
-    return PicardReport(
-        times, d, ratios, sups, fitted_C, bound, small_ok, prev.frames[-1]
-    )
+    return PicardReport(d, ratios, sups, fitted_C, bound, small_ok, prev.frames[-1])

@@ -361,6 +361,14 @@ class TestCli:
             ("simulate", "[grid]\nL = 5e-324\nn = 512\n"),
             ("besov-audit", "[grid]\nL = 5e-324\nn = 512\n"),
             ("simulate", "[grid]\nL = 1e308\nn = 512\n"),
+            # numpy's default_rng rejects a negative seed with a traceback
+            ("simulate", "[data]\nseed = -1\n"),
+            ("picard", "[data]\nseed = -1\n"),
+            ("besov-audit", "[corpus]\nseed = -1\n"),
+            ("transport-test", "[audit]\nseed = -1\n"),
+            # rate_report needs three samples; this used to fail after the evolve
+            ("blowup-study", "[estimate]\nwindow = 0\n"),
+            ("blowup-study", "[estimate]\nwindow = 2\n"),
         ],
     )
     def test_range_fails_at_load_time(self, tmp_path, capsys, kind, text):
@@ -370,6 +378,17 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_fails_at_parse_time(self, tmp_path, capsys):
+        path = write(tmp_path, "a.cfg", "")
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["besov-audit", "--config", path, "--out", str(out), "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and ">= 0" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -419,6 +438,8 @@ class TestCli:
         text = "[residual]\nnx0 = 64\nnt0 = 64\nlevels = 7\n"
         rs = parse_config(text, "peakon-verify")["residual"]
         assert (rs["nx0"] << rs["levels"] - 1) * (rs["nt0"] << rs["levels"] - 1) == 2**24
+        cfg = parse_config("[estimate]\nwindow = 3\n", "blowup-study")
+        assert cfg["estimate"]["window"] == 3
         cfg = parse_config("[corpus]\nfrac = 1.0\n", "besov-audit")
         assert cfg["corpus"]["frac"] == 1.0
         cfg = parse_config("[grid]\nn = 512\n[corpus]\nfrac = 0.00390625\n", "besov-audit")

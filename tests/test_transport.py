@@ -1,10 +1,13 @@
 """Characteristic transport: interpolation order, exactness, audit, Picard."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gchlab import experiments, transport
+from gchlab.config import default_config
 from gchlab.dynamics import SolverConfig, evolve
 from gchlab.errors import ConfigError
 from gchlab.fields import (
@@ -17,7 +20,6 @@ from gchlab.fields import (
 )
 from gchlab.transport import (
     TimeSlices,
-    TransportProblem,
     _wrap_periodic,
     cubic_interp_periodic,
     picard_bound,
@@ -136,16 +138,14 @@ class TestSolveTransport:
 
     def test_constant_advection_exact(self):
         g = Grid1D(math.pi, 512)
-        tp = TransportProblem(g, RealField(g, np.sin(g.x)), uniform(1.0), T=1.0)
-        sol = solve_transport(tp, 0.05)
+        sol = solve_transport(RealField(g, np.sin(g.x)), uniform(1.0), 0.05, [0.0, 1.0])
         err = np.max(np.abs(sol.frames[-1] - np.sin(g.x - 1.0)))
         assert err < 1e-8
 
     def test_pure_source_integration(self):
         g = Grid1D(math.pi, 128)
         src = lambda t, x: np.cos(x)
-        tp = TransportProblem(g, RealField(g, np.sin(g.x)), uniform(0.0), src, T=0.7)
-        sol = solve_transport(tp, 0.07)
+        sol = solve_transport(RealField(g, np.sin(g.x)), uniform(0.0), 0.07, [0.0, 0.7], src)
         expect = np.sin(g.x) + 0.7 * np.cos(g.x)
         assert np.max(np.abs(sol.frames[-1] - expect)) < 1e-12
 
@@ -153,8 +153,7 @@ class TestSolveTransport:
         # f(t,x) = sin(x - sin t) rides v = cos t with no source
         g = Grid1D(math.pi, 512)
         vel = lambda t, x: np.full_like(x, math.cos(t))
-        tp = TransportProblem(g, RealField(g, np.sin(g.x)), vel, T=1.0)
-        sol = solve_transport(tp, 0.05)
+        sol = solve_transport(RealField(g, np.sin(g.x)), vel, 0.05, [0.0, 1.0])
         expect = np.sin(g.x - math.sin(1.0))
         assert np.max(np.abs(sol.frames[-1] - expect)) < 1e-8
 
@@ -163,27 +162,25 @@ class TestSolveTransport:
         # exact pullback is X0 = 2 atan(e^{-t} tan(x/2))
         g = Grid1D(math.pi, 1024)
         vel = lambda t, x: np.sin(x)
-        tp = TransportProblem(g, RealField(g, np.cos(g.x)), vel, T=1.0)
+        f0 = RealField(g, np.cos(g.x))
         foot = 2.0 * np.arctan(math.exp(-1.0) * np.tan(0.5 * g.x))
         exact = np.cos(foot)
         errs = []
         for dt in (0.2, 0.1, 0.05):
-            sol = solve_transport(tp, dt)
+            sol = solve_transport(f0, vel, dt, [0.0, 1.0])
             errs.append(np.max(np.abs(sol.frames[-1] - exact)))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) > 3.3
 
     def test_single_step_when_dt_exceeds_horizon(self):
         g = Grid1D(math.pi, 512)
-        tp = TransportProblem(g, RealField(g, np.sin(g.x)), uniform(1.0), T=0.01)
-        sol = solve_transport(tp, 1.0)
+        sol = solve_transport(RealField(g, np.sin(g.x)), uniform(1.0), 1.0, [0.0, 0.01])
         assert np.max(np.abs(sol.frames[-1] - np.sin(g.x - 0.01))) < 1e-9
 
     def test_requested_output_times(self):
         g = Grid1D(math.pi, 512)
-        tp = TransportProblem(g, RealField(g, np.sin(g.x)), uniform(1.0), T=1.0)
         out = np.array([0.0, 0.5, 1.0])
-        sol = solve_transport(tp, 0.05, out)
+        sol = solve_transport(RealField(g, np.sin(g.x)), uniform(1.0), 0.05, out)
         assert np.array_equal(sol.times, out)
         assert np.array_equal(sol.frames[0], np.sin(g.x))
         assert np.max(np.abs(sol.frames[1] - np.sin(g.x - 0.5))) < 1e-8
@@ -192,9 +189,9 @@ class TestSolveTransport:
         # run_transport_test asks for [T] alone; t=0 is the implicit first frame
         g = Grid1D(math.pi, 512)
         vel = lambda t, x: np.full_like(x, math.cos(t))
-        tp = TransportProblem(g, RealField(g, np.sin(g.x)), vel, T=1.0)
-        alone = solve_transport(tp, 0.05, np.array([1.0]))
-        prefixed = solve_transport(tp, 0.05, np.array([0.0, 1.0]))
+        f0 = RealField(g, np.sin(g.x))
+        alone = solve_transport(f0, vel, 0.05, np.array([1.0]))
+        prefixed = solve_transport(f0, vel, 0.05, np.array([0.0, 1.0]))
         assert np.array_equal(alone.frames[-1], prefixed.frames[-1])
 
     @pytest.mark.parametrize(
@@ -217,22 +214,25 @@ class TestSolveTransport:
             calls.append(t)
             return np.ones_like(x)
 
-        tp = TransportProblem(g, RealField(g, np.sin(g.x)), vel, T=1.0)
         with pytest.raises(ConfigError):
-            solve_transport(tp, 0.1, np.array(out, dtype=float))
+            solve_transport(RealField(g, np.sin(g.x)), vel, 0.1, np.array(out, dtype=float))
         assert calls == []
 
     def test_validation(self):
         g = Grid1D(math.pi, 128)
         f0 = RealField(g, np.sin(g.x))
         with pytest.raises(ConfigError):
-            TransportProblem(g, f0, uniform(1.0), T=0.0)
+            solve_transport(f0, uniform(1.0), 0.0, [0.0, 1.0])
         with pytest.raises(ConfigError):
-            TransportProblem(g, RealField(Grid1D(math.pi, 64), np.zeros(64)), uniform(1.0), T=1.0)
+            solve_transport(f0, 3.14, 0.1, [0.0, 1.0])
         with pytest.raises(ConfigError):
-            solve_transport(TransportProblem(g, f0, uniform(1.0), T=1.0), 0.0)
+            solve_transport(f0, uniform(1.0), 0.1, [0.0, 1.0], 3.14)
+        g64 = Grid1D(math.pi, 64)
+        other = TimeSlices(g64, [0.0, 1.0], np.zeros((2, g64.n)))
         with pytest.raises(ConfigError):
-            solve_transport(TransportProblem(g, f0, 3.14, T=1.0), 0.1)
+            solve_transport(f0, other, 0.1, [0.0, 1.0])
+        with pytest.raises(ConfigError):
+            solve_transport(f0, uniform(1.0), 0.1, [0.0, 1.0], other)
 
 
 class TestSliceBuildUp:
@@ -240,24 +240,20 @@ class TestSliceBuildUp:
     builds up with the slice count; T=1, dt=0.05 throughout."""
 
     @staticmethod
-    def final_errors(tp, exact, counts=(2, 5, 17)):
-        return [
-            np.max(np.abs(solve_transport(tp, 0.05, np.linspace(0.0, 1.0, k)).frames[-1] - exact))
-            for k in counts
-        ]
+    def final_errors(f0, vel, exact, counts=(2, 5, 17)):
+        sols = (solve_transport(f0, vel, 0.05, np.linspace(0.0, 1.0, k)) for k in counts)
+        return [np.max(np.abs(sol.frames[-1] - exact)) for sol in sols]
 
     def test_build_up_stays_small(self):
         g = Grid1D(math.pi, 512)
         f0 = RealField(g, np.sin(g.x))
-        const = TransportProblem(g, f0, uniform(1.0), T=1.0)
-        e_const = self.final_errors(const, np.sin(g.x - 1.0))
+        e_const = self.final_errors(f0, uniform(1.0), np.sin(g.x - 1.0))
         vel = lambda t, x: np.full_like(x, math.cos(t))
-        wobble = TransportProblem(g, f0, vel, T=1.0)
-        e_wobble = self.final_errors(wobble, np.sin(g.x - math.sin(1.0)))
+        e_wobble = self.final_errors(f0, vel, np.sin(g.x - math.sin(1.0)))
         g2 = Grid1D(math.pi, 1024)
-        pull = TransportProblem(g2, RealField(g2, np.cos(g2.x)), lambda t, x: np.sin(x), T=1.0)
+        f2 = RealField(g2, np.cos(g2.x))
         foot = 2.0 * np.arctan(math.exp(-1.0) * np.tan(0.5 * g2.x))
-        e_pull = self.final_errors(pull, np.cos(foot))
+        e_pull = self.final_errors(f2, lambda t, x: np.sin(x), np.cos(foot))
         # measured at 17 slices: 2.7e-9, 6.4e-9 and 7.6e-8
         assert e_const[-1] <= 1e-8
         assert e_wobble[-1] <= 1e-8
@@ -270,16 +266,14 @@ class TestSliceBuildUp:
 class TestAprioriAudit:
     def test_static_problem_is_tight(self):
         g = Grid1D(math.pi, 256)
-        tp = TransportProblem(g, RealField(g, np.sin(g.x)), uniform(0.0), T=1.0)
-        rep = transport_apriori_audit(tp, 0.1)
+        rep = transport_apriori_audit(RealField(g, np.sin(g.x)), uniform(0.0), 1.0, 0.1)
         assert rep.fitted_C == 0.0
         assert np.max(np.abs(rep.ratios - 1.0)) < 1e-9
         assert rep.passed
 
     def test_translation_preserves_besov_norm(self):
         g = Grid1D(math.pi, 256)
-        tp = TransportProblem(g, RealField(g, np.sin(2 * g.x)), uniform(1.0), T=1.0)
-        rep = transport_apriori_audit(tp, 0.05)
+        rep = transport_apriori_audit(RealField(g, np.sin(2 * g.x)), uniform(1.0), 1.0, 0.05)
         assert rep.fitted_C == 0.0
         assert np.all(rep.ratios <= 1.0 + 1e-9)
         assert rep.passed
@@ -287,10 +281,25 @@ class TestAprioriAudit:
     def test_variable_velocity_fitted_c_is_stable(self):
         g = Grid1D(math.pi, 256)
         vel = lambda t, x: np.sin(x)
-        tp = TransportProblem(g, RealField(g, np.cos(g.x)), vel, T=1.0)
-        rep = transport_apriori_audit(tp, 0.05)
+        rep = transport_apriori_audit(RealField(g, np.cos(g.x)), vel, 1.0, 0.05)
         assert rep.passed
         assert rep.refinement_drift < 0.5
+
+    def test_norm_count_at_the_runner_defaults(self, monkeypatch):
+        # nine velocity norms and ||f0|| once, then nine frame norms for
+        # each of the two dt runs; recomputing the first ten per run is 38
+        calls = []
+        besov_norm = transport.besov_norm
+
+        def counted(*args):
+            calls.append(args[1])
+            return besov_norm(*args)
+
+        monkeypatch.setattr(transport, "besov_norm", counted)
+        cfg = default_config("transport-test")
+        grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
+        assert experiments.run_transport_test(cfg, grid, None).passed
+        assert len(calls) == 28
 
 
 class TestPicard:
@@ -331,6 +340,21 @@ class TestPicard:
         m_direct = synthesize(spectrum(run.final.values) * (1.0 + g.k**2))
         gap = lp_norm(RealField(g, final_picard - m_direct), 2.0)
         assert gap < 1e-4
+
+    def test_memory_peak_is_bounded(self):
+        # an iteration's velocity and source slices, with their cubic
+        # tables, must be free before the next iteration builds its own;
+        # the peak is 2.48 MiB, and about 0.5 MiB more if one set lives on
+        g = Grid1D(20.0, 1024)
+        m0 = RealField(g, 0.2 * np.exp(-(g.x**2) / 2.0))
+        picard_run(m0, T=0.25, n_iter=10)  # warm the per-grid caches
+        tracemalloc.start()
+        try:
+            picard_run(m0, T=0.25, n_iter=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * 2**20
 
     def test_needs_two_iterations(self):
         g = Grid1D(20.0, 256)
