@@ -33,6 +33,7 @@ from .fields import (
     helmholtz_inverse,
     lp_norm,
     random_band_limited,
+    random_band_limited_values,
 )
 from .lpaley import inequality_audit
 from .svgplot import LineChart
@@ -328,12 +329,12 @@ def run_picard(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
 def run_besov_audit(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     ccfg = cfg["corpus"]
     rng = np.random.default_rng(ccfg["seed"] if seed is None else seed)
-    corpus = [
-        random_band_limited(grid, rng, frac=ccfg["frac"], decay=ccfg["decay"])
-        for _ in range(ccfg["count"])
-    ]
-    ids = audit_ids(cfg["audits"]["which"])
-    reports = [inequality_audit(corpus, aid) for aid in ids]
+    values = random_band_limited_values(
+        grid, rng, ccfg["count"], frac=ccfg["frac"], decay=ccfg["decay"]
+    )
+    reports = inequality_audit(
+        [RealField(grid, v) for v in values], audit_ids(cfg["audits"]["which"])
+    )
     chart = LineChart("audit ratios", "sample", "ratio")
     for r in reports:
         chart.add(r.audit_id, range(len(r.ratios)), r.ratios)

@@ -115,12 +115,13 @@ def spectrum(values: np.ndarray) -> np.ndarray:
     return np.fft.rfft(values)
 
 
-def synthesize(coeffs: np.ndarray) -> np.ndarray:
+def synthesize(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real grid values of a coefficient array; inverts `spectrum`.
 
     The imaginary parts of the DC and Nyquist coefficients are dropped.
+    `out`, if given, receives the values, so a loop can reuse one buffer.
     """
-    return np.fft.irfft(coeffs)
+    return np.fft.irfft(coeffs, out=out)
 
 
 def coefficient_power(grid: Grid1D, coeffs: np.ndarray) -> np.ndarray:
@@ -204,7 +205,8 @@ def lp_norm(f: RealField, p: float) -> float:
 def lp_norms(grid: Grid1D, values: np.ndarray, p: float) -> np.ndarray:
     """lp_norm along the last axis, so a stack of fields gives one norm each."""
     if p == np.inf:
-        return np.max(np.abs(values), axis=-1)
+        # max|f| without an |f| temporary; + 0.0 turns a -0.0 into 0.0
+        return np.maximum(np.max(values, axis=-1), -np.min(values, axis=-1)) + 0.0
     if p < 1:
         raise ConfigError(f"L^p norm needs p >= 1, got p={p}")
     mag = np.abs(values)
@@ -256,7 +258,9 @@ def refine_values(values: np.ndarray) -> np.ndarray:
     # the coarse Nyquist mode cos(k_nyq x) is an interior mode on the fine
     # grid, where a coefficient also stands for -k: half of it each way
     out[..., half] = 0.5 * ch[..., half]
-    return synthesize(out) * 2.0
+    fine = synthesize(out)
+    fine *= 2.0
+    return fine
 
 
 def random_band_limited(
@@ -265,10 +269,24 @@ def random_band_limited(
     frac: float = 1.0 / 3.0,
     decay: float = 2.0,
 ) -> RealField:
-    """Random real field supported on |k| <= frac * k_Nyquist.
+    """The one-row case of `random_band_limited_values`."""
+    return RealField(grid, random_band_limited_values(grid, rng, 1, frac, decay)[0])
+
+
+def random_band_limited_values(
+    grid: Grid1D,
+    rng: np.random.Generator,
+    count: int,
+    frac: float = 1.0 / 3.0,
+    decay: float = 2.0,
+) -> np.ndarray:
+    """A (count, n) stack of random real fields supported on
+    |k| <= frac * k_Nyquist, each scaled to max|f| = 1.
 
     Coefficients get i.i.d. complex Gaussians shaped by (1+k^2)^{-decay/2};
-    used for test corpora where products must stay alias-free.
+    used for test corpora where products must stay alias-free.  Each row
+    draws its real parts, then its imaginary parts, so the stack equals
+    `count` one-row draws from the same generator, bit for bit.
     """
     g = grid
     kcut = frac * g.nyquist
@@ -276,18 +294,18 @@ def random_band_limited(
     # conjugate of its -k partner: the real part of the full inverse
     # transform is the inverse of the folded half spectrum
     k = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.dx)
-    ch = np.zeros(g.n, dtype=complex)
+    ch = np.zeros((count, g.n), dtype=complex)
     mask = (np.abs(k) <= kcut) & (k != 0.0)
-    nm = int(mask.sum())
-    ch[mask] = rng.standard_normal(nm) + 1j * rng.standard_normal(nm)
+    z = rng.standard_normal((count, 2, int(mask.sum())))
+    ch.real[:, mask] = z[:, 0]
+    ch.imag[:, mask] = z[:, 1]
     ch *= (1.0 + k**2) ** (-decay / 2.0)
     half = g.n // 2
-    folded = 0.5 * (ch[: half + 1] + np.conj(ch[-np.arange(half + 1)]))
-    folded[half] = 0.0
+    folded = 0.5 * (ch[:, : half + 1] + np.conj(ch[:, -np.arange(half + 1)]))
+    folded[:, half] = 0.0
     vals = synthesize(folded)
-    m = np.max(np.abs(vals))
-    if m > 0:
-        # times the reciprocal, not / m: the two round differently, and
-        # seeded corpora keep their bits
-        vals *= 1.0 / m
-    return RealField(g, vals)
+    m = lp_norms(g, vals, np.inf)[:, None]
+    # times the reciprocal, not / m: the two round differently, and
+    # seeded corpora keep their bits; an all-zero row stays zero
+    vals *= np.divide(1.0, m, out=np.ones_like(m), where=m > 0)
+    return vals

@@ -1,9 +1,12 @@
 """Dyadic frequency decomposition and the inequality audits built on it.
 
 Besov norms have one implementation, `_block_norms` then `_besov_sum`, which
-works along the last axis of an array of grid values: `besov_norm` is its
-one-field case, and `inequality_audit` runs each audit on the whole corpus
-as one (count, n) stack.
+works along the last axis of an array of spectra: `besov_norm` is its
+one-field case.  `inequality_audit` audits the whole corpus as one (count, n)
+stack for every requested audit in one call.  It refines the stack once,
+and on each grid it takes the corpus spectrum, its p = 2 block norms and its
+sup norms once for all the audits; the p != 2 block loop runs through one
+coefficient buffer and one grid buffer.
 
 The partition uses a smoothed step built from the bump exp(-1/(1-t^2)):
 chi_b(xi) is 1 for |xi| <= 3/4, 0 for |xi| >= 4/3, and the annulus
@@ -19,6 +22,7 @@ to one, which forces the squared sum into [1/2, 1] structurally.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -181,27 +185,29 @@ def besov_norm(
     """(sum_j 2^{jsr} ||Delta_j f||_p^r)^{1/r}, sup over j when r = inf."""
     _validate_params(s, p, r)
     part = part or partition_for(f.grid)
-    return float(_besov_sum(_block_norms(f.grid, f.values, p, part), s, r))
+    return float(_besov_sum(_block_norms(f.grid, spectrum(f.values), p, part), s, r))
 
 
 def _block_norms(
-    grid: Grid1D, values: np.ndarray, p: float, part: DyadicPartition
+    grid: Grid1D, ch: np.ndarray, p: float, part: DyadicPartition
 ) -> np.ndarray:
-    """||Delta_j f||_p for every block j, along the last axis of the values:
-    a (count, n) stack of fields gives a (count, blocks) array."""
-    ch = spectrum(values)
+    """||Delta_j f||_p for every block j, from the spectrum along the last
+    axis: a (count, n//2 + 1) stack of spectra gives a (count, blocks) array."""
     if p == 2.0:
         # Parseval per block, no inverse transforms needed
         return np.sqrt(coefficient_power(grid, ch) @ (part.multipliers**2).T)
-    # one block of the whole stack at a time: a (count, blocks, n) tensor
-    # would only add memory
-    norms = np.empty(values.shape[:-1] + (part.j_max + 2,))
+    # one block of the whole stack at a time, through one coefficient buffer
+    # and one grid buffer: a fresh stack per block faults in fresh pages
+    block = np.empty_like(ch)
+    vals = np.empty(ch.shape[:-1] + (grid.n,))
+    norms = np.empty(ch.shape[:-1] + (part.j_max + 2,))
     for j in part.blocks:
-        norms[..., j + 1] = lp_norms(grid, synthesize(ch * part.mult(j)), p)
+        np.multiply(ch, part.mult(j), out=block)
+        norms[..., j + 1] = lp_norms(grid, synthesize(block, out=vals), p)
     return norms
 
 
-def _besov_sum(block_norms: np.ndarray, s: float, r: float) -> np.ndarray:
+def _besov_sum(block_norms: np.ndarray, s: float, r: float = 2.0) -> np.ndarray:
     """Weight block j by 2^{js}, then take the l^r norm over the last axis."""
     terms = 2.0 ** (s * np.arange(-1, block_norms.shape[-1] - 1)) * block_norms
     if r == np.inf:
@@ -222,11 +228,9 @@ def reconstruct(blocks: list[RealField]) -> RealField:
     return RealField(blocks[0].grid, total)
 
 
-def _lam(grid: Grid1D, values: np.ndarray, s: float) -> np.ndarray:
-    """(1 - dx^2)^{s/2} as a Fourier multiplier, along the last axis."""
-    ch = spectrum(values)
-    ch *= (1.0 + grid.k**2) ** (s / 2.0)
-    return synthesize(ch)
+def _bessel(grid: Grid1D, s: float) -> np.ndarray:
+    """The symbol (1 + k^2)^{s/2} of lam^s = (1 - dx^2)^{s/2}."""
+    return (1.0 + grid.k**2) ** (s / 2.0)
 
 
 @dataclass
@@ -258,60 +262,6 @@ REFINE_BAND = 0.15
 INTERP_SLACK = 1e-12
 
 
-def _audit_ratios(
-    grid: Grid1D, values: np.ndarray, which: str, params: dict
-) -> np.ndarray:
-    """lhs / rhs of one audit for each row of a (count, n) stack of fields.
-
-    The bilinear audits pair row i with row i + 1 (the last with the first).
-    """
-    part = partition_for(grid)
-    s = params["s"]
-
-    def besov(v: np.ndarray, s: float, p: float = 2.0, r: float = 2.0) -> np.ndarray:
-        return _besov_sum(_block_norms(grid, v, p, part), s, r)
-
-    def l2(v: np.ndarray) -> np.ndarray:
-        return lp_norms(grid, v, 2.0)
-
-    def sup(v: np.ndarray) -> np.ndarray:
-        return lp_norms(grid, v, np.inf)
-
-    if which == "embedding":
-        # one dimension: B^s_{p1,r1} -> B^{s - (1/p1 - 1/p2)}_{p2,r2}
-        p1, r1, p2, r2 = params["p1"], params["r1"], params["p2"], params["r2"]
-        lhs = besov(values, s - (1.0 / p1 - 1.0 / p2), p2, r2)
-        rhs = besov(values, s, p1, r1)
-    elif which == "interpolation":
-        th, s1, s2 = params["theta"], params["s1"], params["s2"]
-        b = _block_norms(grid, values, 2.0, part)
-        lhs = _besov_sum(b, th * s1 + (1.0 - th) * s2, 2.0)
-        rhs = _besov_sum(b, s1, 2.0) ** th * _besov_sum(b, s2, 2.0) ** (1.0 - th)
-    elif which == "algebra":
-        lhs = besov(values * values, s)
-        rhs = 2.0 * sup(values) * besov(values, s)
-    elif which == "morse":
-        # g is the next row, so its norms are the next row's norms of f
-        b = _block_norms(grid, values, 2.0, part)
-        lhs = besov(values * np.roll(values, -1, axis=0), s - 1.0)
-        rhs = _besov_sum(b, s - 1.0, 2.0) * np.roll(_besov_sum(b, s, 2.0), -1)
-    elif which == "kato_ponce":
-        # the commutator [lam^s, f] g, with g the next row as in morse
-        lam = _lam(grid, values, s)
-        comm = _lam(grid, values * np.roll(values, -1, axis=0), s)
-        comm -= values * np.roll(lam, -1, axis=0)
-        lhs = l2(comm)
-        rhs = l2(lam) * np.roll(sup(values), -1)
-        del comm, lam  # each is a whole stack: free them before the next two
-        fx = synthesize(spectrum(values) * grid.ik)
-        rhs += sup(fx) * np.roll(l2(_lam(grid, values, s - 1.0)), -1)
-    else:
-        raise ConfigError(f"unknown audit id {which!r}; known: {AUDIT_IDS}")
-    if np.any(rhs == 0.0):
-        raise EstimationError(f"audit {which}: degenerate sample with zero bound")
-    return lhs / rhs
-
-
 _AUDIT_DEFAULTS = {
     "embedding": {"s": 1.0, "p1": 2.0, "r1": 2.0, "p2": np.inf, "r2": np.inf},
     "interpolation": {"s": 0.0, "theta": 0.37, "s1": 0.5, "s2": 2.0},
@@ -321,43 +271,121 @@ _AUDIT_DEFAULTS = {
 }
 
 
-def inequality_audit(corpus: list[RealField], which: str) -> AuditReport:
-    """Fit the sharpest constant observed for one textbook inequality.
+def _audit_ratios(
+    grid: Grid1D, values: np.ndarray, ids: dict[str, None]
+) -> dict[str, np.ndarray]:
+    """lhs / rhs of each audit in ids for each row of a (count, n) stack.
+
+    The corpus spectrum, its p = 2 block norms and its sup norms are taken
+    once and shared.  The bilinear audits pair row i with row i + 1 (the
+    last with the first) and share the spectrum of that product, which is
+    reduced at once to what they read: its p = 2 block norms for morse and
+    its lam^s for kato_ponce.  Only one stack besides the values and their
+    spectrum outlives this set-up.
+    """
+    part = partition_for(grid)
+    ch = spectrum(values)
+    b2 = _block_norms(grid, ch, 2.0, part)
+    sup = lp_norms(grid, values, np.inf)
+    if "morse" in ids or "kato_ponce" in ids:
+        prod = spectrum(values * np.roll(values, -1, axis=0))
+        prod_b2 = _block_norms(grid, prod, 2.0, part)
+        if "kato_ponce" in ids:
+            prod *= _bessel(grid, _AUDIT_DEFAULTS["kato_ponce"]["s"])
+            lam_prod = synthesize(prod)
+        del prod
+
+    def norms(p: float) -> np.ndarray:
+        return b2 if p == 2.0 else _block_norms(grid, ch, p, part)
+
+    def l2(v: np.ndarray) -> np.ndarray:
+        return lp_norms(grid, v, 2.0)
+
+    out = {}
+    for which in ids:
+        params = _AUDIT_DEFAULTS[which]
+        s = params["s"]
+        if which == "embedding":
+            # one dimension: B^s_{p1,r1} -> B^{s - (1/p1 - 1/p2)}_{p2,r2}
+            p1, r1, p2, r2 = params["p1"], params["r1"], params["p2"], params["r2"]
+            lhs = _besov_sum(norms(p2), s - (1.0 / p1 - 1.0 / p2), r2)
+            rhs = _besov_sum(norms(p1), s, r1)
+        elif which == "interpolation":
+            th, s1, s2 = params["theta"], params["s1"], params["s2"]
+            lhs = _besov_sum(b2, th * s1 + (1.0 - th) * s2)
+            rhs = _besov_sum(b2, s1) ** th * _besov_sum(b2, s2) ** (1.0 - th)
+        elif which == "algebra":
+            lhs = _besov_sum(_block_norms(grid, spectrum(values * values), 2.0, part), s)
+            rhs = 2.0 * sup * _besov_sum(b2, s)
+        elif which == "morse":
+            # g is the next row, so its norms are the next row's norms of f
+            lhs = _besov_sum(prod_b2, s - 1.0)
+            rhs = _besov_sum(b2, s - 1.0) * np.roll(_besov_sum(b2, s), -1)
+        else:
+            # the commutator [lam^s, f] g = lam^s(fg) - f lam^s g, with g the
+            # next row as in morse, formed in place in lam_prod (its last use)
+            lam = synthesize(ch * _bessel(grid, s))
+            rhs = l2(lam) * np.roll(sup, -1)
+            lam = np.roll(lam, -1, axis=0)
+            lam *= values
+            lam_prod -= lam
+            del lam
+            lhs = l2(lam_prod)
+            del lam_prod  # a whole stack: free it before the next two
+            fx = synthesize(ch * grid.ik)
+            lam = synthesize(ch * _bessel(grid, s - 1.0))
+            rhs += lp_norms(grid, fx, np.inf) * np.roll(l2(lam), -1)
+        if np.any(rhs == 0.0):
+            raise EstimationError(f"audit {which}: degenerate sample with zero bound")
+        out[which] = lhs / rhs
+    return out
+
+
+def inequality_audit(corpus: list[RealField], ids: Sequence[str]) -> list[AuditReport]:
+    """Fit the sharpest constant observed for each textbook inequality in ids.
 
     The corpus must share a grid, and is audited as one (count, n) stack.
-    The fitted constant is the max sample ratio, NaN if any ratio is NaN,
-    which fails the audit.  The corpus is then upsampled once (2N) and the
-    constant refitted, and the report records refined/base.
+    A fitted constant is the max sample ratio, NaN if any ratio is NaN,
+    which fails the audit.  The stack is then upsampled once (2N) and every
+    constant refitted, and each report records refined/base.
     The interpolation audit is a hard bound with constant exactly 1.
     """
     if not corpus:
         raise ConfigError("audit corpus is empty")
-    if which not in _AUDIT_DEFAULTS:
-        raise ConfigError(f"unknown audit id {which!r}; known: {AUDIT_IDS}")
+    for which in ids:
+        if which not in _AUDIT_DEFAULTS:
+            raise ConfigError(f"unknown audit id {which!r}; known: {AUDIT_IDS}")
     g0 = corpus[0].grid
     if any(f.grid.n != g0.n or f.grid.L != g0.L for f in corpus):
         raise ConfigError("audit corpus must share one grid")
-    params = _AUDIT_DEFAULTS[which]
     values = np.array([f.values for f in corpus])
-    ratios = _audit_ratios(g0, values, which, params)
-    fitted = float(np.max(ratios))
-    fine = Grid1D(g0.L, 2 * g0.n)
-    fine_ratios = _audit_ratios(fine, refine_values(values), which, params)
-    ref_ratio = float(np.max(fine_ratios)) / fitted
-    hard_ok = True
-    if which == "interpolation":
-        hard_ok = fitted <= 1.0 + INTERP_SLACK
-    passed = (
-        math.isfinite(fitted)
-        and hard_ok
-        and (1.0 / (1.0 + REFINE_BAND) <= ref_ratio <= 1.0 + REFINE_BAND)
-    )
-    return AuditReport(
-        audit_id=which,
-        params={k: (None if v is np.inf else v) for k, v in params.items()},
-        ratios=ratios.tolist(),
-        fitted_constant=fitted,
-        refinement_ratio=ref_ratio,
-        hard_ok=hard_ok,
-        passed=passed,
-    )
+    once = dict.fromkeys(ids)  # a repeated id is audited once
+    base = _audit_ratios(g0, values, once)
+    values = refine_values(values)  # the N stack is not needed again
+    fine = _audit_ratios(Grid1D(g0.L, 2 * g0.n), values, once)
+    reports = []
+    for which in ids:
+        ratios = base[which]
+        fitted = float(np.max(ratios))
+        ref_ratio = float(np.max(fine[which])) / fitted
+        hard_ok = True
+        if which == "interpolation":
+            hard_ok = fitted <= 1.0 + INTERP_SLACK
+        passed = (
+            math.isfinite(fitted)
+            and hard_ok
+            and (1.0 / (1.0 + REFINE_BAND) <= ref_ratio <= 1.0 + REFINE_BAND)
+        )
+        params = _AUDIT_DEFAULTS[which]
+        reports.append(
+            AuditReport(
+                audit_id=which,
+                params={k: (None if v is np.inf else v) for k, v in params.items()},
+                ratios=ratios.tolist(),
+                fitted_constant=fitted,
+                refinement_ratio=ref_ratio,
+                hard_ok=hard_ok,
+                passed=passed,
+            )
+        )
+    return reports

@@ -281,7 +281,9 @@ def transport_apriori_audit(
 
         C = 0.0
         if not ok(C):
-            hi = 1.0
+            # start where e^{CV(T)} is e: from C = 1, e^{V(T)} overflows
+            # once V(T) passes about 709
+            hi = 1.0 / max(float(V[-1]), 1.0)
             while not ok(hi):
                 hi *= 2.0
                 if hi > 1e8:

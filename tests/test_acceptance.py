@@ -227,7 +227,7 @@ def test_c05_dyadic_analysis(capsys):
     ]
     mode_ok = all(2.0**-0.5 - 1e-12 <= r <= 1.0 + 1e-12 for r in mode_ratios)
 
-    audit = inequality_audit(corpus, "interpolation")
+    audit = inequality_audit(corpus, ["interpolation"])[0]
     interp_ok = audit.hard_ok and audit.fitted_constant <= 1.0 + 1e-12
 
     ok = recon <= 1e-12 and sq_ok and mode_ok and interp_ok

@@ -29,6 +29,7 @@ from gchlab.fields import (
     periodized_kernel,
     power,
     random_band_limited,
+    random_band_limited_values,
     refine_field,
     sobolev_norm,
     spectrum,
@@ -308,6 +309,45 @@ class TestRandomCorpus:
         outside = np.abs(g.k) > g.nyquist / 3.0 + 1e-12
         assert np.max(np.abs(ch[outside])) < 1e-10 * g.n
         assert np.max(np.abs(f.values)) == pytest.approx(1.0, rel=1e-12)
+
+
+def draw_one(grid, rng, frac, decay):
+    """One field drawn the way a per-field loop drew a corpus: the
+    reference the stacked draw must reproduce bit for bit."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    ch = np.zeros(grid.n, dtype=complex)
+    mask = (np.abs(k) <= frac * grid.nyquist) & (k != 0.0)
+    nm = int(mask.sum())
+    ch[mask] = rng.standard_normal(nm) + 1j * rng.standard_normal(nm)
+    ch *= (1.0 + k**2) ** (-decay / 2.0)
+    half = grid.n // 2
+    folded = 0.5 * (ch[: half + 1] + np.conj(ch[-np.arange(half + 1)]))
+    folded[half] = 0.0
+    vals = np.fft.irfft(folded)
+    m = np.max(np.abs(vals))
+    if m > 0:
+        vals *= 1.0 / m
+    return vals
+
+
+class TestStackedDraw:
+    @pytest.mark.parametrize("n", [64, 512, 4096])
+    @pytest.mark.parametrize("count", [1, 3, 100])
+    @pytest.mark.parametrize("frac", ["2/n", 0.33, 1.0])
+    def test_matches_per_field_loop(self, n, count, frac):
+        g = grid40(n)
+        frac = 2.0 / n if frac == "2/n" else frac
+        for seed, decay in ((5, 2.0), (11, 0.0)):
+            stack = random_band_limited_values(g, np.random.default_rng(seed), count, frac, decay)
+            rng = np.random.default_rng(seed)
+            loop = np.array([draw_one(g, rng, frac, decay) for _ in range(count)])
+            assert np.array_equal(stack, loop)
+
+    def test_one_field_is_the_one_row_stack(self):
+        g = grid40(256)
+        f = random_band_limited(g, np.random.default_rng(3), frac=0.2, decay=1.0)
+        stack = random_band_limited_values(g, np.random.default_rng(3), 1, 0.2, 1.0)
+        assert np.array_equal(f.values, stack[0])
 
 
 class TestLayerBoundary:

@@ -11,11 +11,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gchlab import fields, lpaley
+from gchlab import experiments, fields, lpaley
+from gchlab.config import default_config
 from gchlab.errors import ConfigError
 from gchlab.fields import (
     Grid1D,
@@ -266,30 +268,30 @@ def corpus():
 class TestAudits:
     def test_all_audits_pass(self, corpus):
         for aid in AUDIT_IDS:
-            rep = inequality_audit(corpus, aid)
+            rep = inequality_audit(corpus, [aid])[0]
             assert rep.passed, f"{aid}: {rep}"
             assert np.isfinite(rep.fitted_constant)
             assert 1.0 / 1.15 <= rep.refinement_ratio <= 1.15
 
     def test_interpolation_hard_bound(self, corpus):
-        rep = inequality_audit(corpus, "interpolation")
+        rep = inequality_audit(corpus, ["interpolation"])[0]
         assert np.all(np.asarray(rep.ratios) <= 1.0 + 1e-12)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
-            inequality_audit([], "algebra")
+            inequality_audit([], ["algebra"])
 
     def test_unknown_audit_rejected(self, corpus):
         with pytest.raises(ConfigError):
-            inequality_audit(corpus, "no_such_audit")
+            inequality_audit(corpus, ["no_such_audit"])
 
     def test_mixed_grids_rejected(self, corpus):
         odd = random_band_limited(Grid1D(40.0, 512), np.random.default_rng(1))
         with pytest.raises(ConfigError):
-            inequality_audit(corpus + [odd], "algebra")
+            inequality_audit(corpus + [odd], ["algebra"])
 
     def test_report_serializes(self, corpus):
-        rep = inequality_audit(corpus, "embedding")
+        rep = inequality_audit(corpus, ["embedding"])[0]
         js = rep.to_json()
         assert js["audit_id"] == "embedding"
         assert isinstance(js["fitted_constant"], float)
@@ -336,13 +338,23 @@ class TestStackedAudit:
 
     @pytest.mark.parametrize("aid", AUDIT_IDS)
     def test_matches_per_field_reference(self, corpus, aid):
-        rep = inequality_audit(corpus, aid)
+        rep = inequality_audit(corpus, [aid])[0]
         # the embedding's target exponents p2 = r2 = inf are stored as None
         params = {k: math.inf if v is None else v for k, v in rep.params.items()}
         base = per_field_ratios(corpus, aid, params)
         fine = per_field_ratios([refine_field(f) for f in corpus], aid, params)
         np.testing.assert_allclose(rep.ratios, base, rtol=1e-13, atol=0.0)
         assert rep.refinement_ratio == pytest.approx(max(fine) / max(base), rel=1e-13)
+
+    def test_one_call_matches_one_audit_per_call(self, corpus):
+        # the shared per-grid stacks must not carry one audit into another,
+        # in any order, and a repeated id gets the same report again
+        ids = ("kato_ponce", "morse", "embedding", "kato_ponce", "algebra", "interpolation")
+        together = inequality_audit(corpus, ids)
+        assert [r.audit_id for r in together] == list(ids)
+        for rep in together:
+            alone = inequality_audit(corpus, [rep.audit_id])[0]
+            assert rep.to_json() == alone.to_json()
 
     @pytest.mark.parametrize("aid", AUDIT_IDS)
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -352,7 +364,7 @@ class TestStackedAudit:
         corpus = [random_band_limited(g, rng) for _ in range(6)]
         corpus[3].values[100] = bad
         with np.errstate(invalid="ignore"):
-            rep = inequality_audit(corpus, aid)
+            rep = inequality_audit(corpus, [aid])[0]
         assert not math.isfinite(rep.fitted_constant)
         assert not rep.passed
 
@@ -381,7 +393,53 @@ class TestStackedAudit:
         seen = []
         for corpus in corpora:
             calls.update(spectrum=0, synthesize=0)
-            inequality_audit(corpus, aid)
+            inequality_audit(corpus, [aid])
             seen.append(dict(calls))
         assert seen[0] == seen[1]
         assert seen[0]["spectrum"] > 0
+
+
+class TestAuditRun:
+    """besov-audit at its defaults: one refinement, and one spectrum of the
+    corpus per grid shared by the five audits."""
+
+    @pytest.fixture
+    def defaults(self):
+        cfg = default_config("besov-audit")
+        return cfg, Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
+
+    def test_refines_once_and_takes_each_grids_spectrum_once(self, monkeypatch, defaults):
+        cfg, grid = defaults
+        refined, spectra = [], []
+        refine_values, spectrum_ = fields.refine_values, fields.spectrum
+
+        def counted_refine(values):
+            refined.append(values.copy())
+            return refine_values(values)
+
+        def counted_spectrum(values):
+            spectra.append(values.copy())
+            return spectrum_(values)
+
+        monkeypatch.setattr(lpaley, "refine_values", counted_refine)
+        monkeypatch.setattr(lpaley, "spectrum", counted_spectrum)
+        assert experiments.run_besov_audit(cfg, grid, None).passed
+        assert len(refined) == 1
+        coarse = refined[0]
+        assert coarse.shape == (cfg["corpus"]["count"], grid.n)
+        for stack in (coarse, refine_values(coarse)):
+            assert sum(np.array_equal(v, stack) for v in spectra) == 1
+
+    def test_memory_peak_is_bounded(self, defaults):
+        # 4,970,660 B when each audit took its own spectra of the corpus;
+        # 4.71 MB with the shared per-grid stacks.  A warm-up run first, so
+        # the partitions and numpy's lazy imports are not counted.
+        cfg, grid = defaults
+        experiments.run_besov_audit(cfg, grid, None)
+        tracemalloc.start()
+        try:
+            experiments.run_besov_audit(cfg, grid, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_970_660

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,18 @@ class TestAprioriAudit:
         rep = transport_apriori_audit(RealField(g, np.cos(g.x)), vel, 1.0, 0.05)
         assert rep.passed
         assert rep.refinement_drift < 0.5
+
+    def test_large_growth_integral_does_not_overflow(self):
+        # at [audit] s = 1.5 V(T) is about 4.5e3: a bracket that starts at
+        # C = 1 evaluates e^{V(T)}, which overflows with a RuntimeWarning
+        cfg = default_config("transport-test")
+        cfg["audit"]["s"] = 1.5
+        grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = experiments.run_transport_test(cfg, grid, 5)
+        assert out.passed
+        assert 0.0 < out.body["audit"]["fitted_C"] < 1e-3
 
     def test_norm_count_at_the_runner_defaults(self, monkeypatch):
         # nine velocity norms and ||f0|| once, then nine frame norms for
