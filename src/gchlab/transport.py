@@ -148,6 +148,33 @@ class TimeSlices:
         return _cubic_eval(last[1], self.grid, xq)
 
 
+def _trace_interval(frame, g: Grid1D, velocity, source, t0: float, t1: float, nst: int):
+    """The frame at t1 from the frame at t0, traced back in nst RK4 steps.
+
+    The nodes are traced backward to t0, where the frame is interpolated at
+    the feet, and the source is summed along the path by the trapezoid rule.
+    """
+    h = (t1 - t0) / nst
+    x = g.x.copy()
+    acc = np.zeros(g.n)
+    s_here = source(t1, x) if source is not None else None
+    t = t1
+    for _ in range(nst):
+        # RK4 for dx/dt = v along the reversed path
+        k1 = velocity(t, x)
+        k2 = velocity(t - 0.5 * h, x - 0.5 * h * k1)
+        k3 = velocity(t - 0.5 * h, x - 0.5 * h * k2)
+        k4 = velocity(t - h, x - h * k3)
+        x = x - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _wrap_periodic(x, g.L)
+        t -= h
+        if source is not None:
+            s_prev = source(t, x)
+            acc += 0.5 * h * (s_here + s_prev)
+            s_here = s_prev
+    return cubic_interp_periodic(frame, g, x) + acc
+
+
 def solve_transport(
     f0: RealField, velocity, dt: float, out_times, source=None
 ) -> TimeSlices:
@@ -195,32 +222,17 @@ def solve_transport(
     frame = f0.values
     t_prev = 0.0
     for oi, tout in enumerate(out_times):
-        if tout == 0.0:
-            frames[oi] = frame
-            continue
-        nst = max(1, round((tout - t_prev) / dt))
-        h = (tout - t_prev) / nst
-        x = g.x.copy()
-        acc = np.zeros(g.n)
-        s_here = source(tout, x) if source is not None else None
-        t = tout
-        for _ in range(nst):
-            # RK4 for dx/dt = v along the reversed path
-            k1 = velocity(t, x)
-            k2 = velocity(t - 0.5 * h, x - 0.5 * h * k1)
-            k3 = velocity(t - 0.5 * h, x - 0.5 * h * k2)
-            k4 = velocity(t - h, x - h * k3)
-            x = x - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _wrap_periodic(x, g.L)
-            t -= h
-            if source is not None:
-                s_prev = source(t, x)
-                acc += 0.5 * h * (s_here + s_prev)
-                s_here = s_prev
-        frame = cubic_interp_periodic(frame, g, x) + acc
+        if tout != 0.0:
+            nst = max(1, round((tout - t_prev) / dt))
+            frame = _trace_interval(frame, g, velocity, source, t_prev, tout, nst)
+            t_prev = tout
         frames[oi] = frame
-        t_prev = tout
     return TimeSlices(g, out_times, frames)
+
+
+def _require_finite(quantity: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise EstimationError(f"{quantity} is not finite; lower s or the data")
 
 
 def _least(ok, lo: float, hi: float, steps: int) -> float:
@@ -269,12 +281,17 @@ def transport_apriori_audit(
         [[0.0], np.cumsum(0.5 * np.diff(out_times) * (vnorm[1:] + vnorm[:-1]))]
     )
     a0 = besov_norm(f0, s, 2.0, 2.0, part)
+    # an overflowed norm leaves no growth bound to fit, and an infinite V(T)
+    # would start the bracket below at C = 0, where doubling never ends
+    _require_finite(f"V(T), the time integral of ||v||_B^{s + 2:g}", V[-1])
+    _require_finite(f"||f0||_B^{s:g}", a0)
 
     def fit(dt_run: float) -> tuple[np.ndarray, float]:
         sol = solve_transport(f0, velocity, dt_run, out_times)
         lhs = np.array(
             [besov_norm(RealField(g, fr), s, 2.0, 2.0, part) for fr in sol.frames]
         )
+        _require_finite(f"a frame norm ||f(t)||_B^{s:g}", *lhs)
 
         def ok(C: float) -> bool:
             return bool(np.all(lhs <= np.exp(C * V) * a0 * (1.0 + 1e-12) + 1e-300))
@@ -308,6 +325,40 @@ def picard_bound(m0_norm: float, C: float, T: float) -> float:
     return C * m0_norm / (1.0 - q)
 
 
+# Picard's transport step, when none is given: the step-doubling test
+# (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., sec. II.4) accepts k
+# RK4 steps per slice interval when the probe frame traced in k and in 2k
+# steps differs by at most STEP_TOL of its largest value.  The probe is the
+# first interval of the first iteration, where the step error is smallest:
+# at the picard defaults and k = 1 it reads 9.6e-8, while the frames of
+# every iteration stay within 5.7e-6 of the T/200 ladder, about 60x more
+# (the 16 intervals add up, and the later iterations carry about three
+# times more).  So 1e-6 on the probe holds the ladder within about 1e-4
+# of its largest value.
+STEP_TOL = 1e-6
+
+
+def _steps_by_doubling(frame, g: Grid1D, velocity, source, t0: float, t1: float, cap: int):
+    """Smallest k = 1, 2, 4, ... below cap that passes the step-doubling test.
+
+    Returns k and the relative difference max|f_2k - f_k| / max|f_2k| of the
+    probe that passed.  When no k below cap passes, or a probe frame is not
+    finite, it returns cap and the last difference (None if cap is 1).
+    """
+    k, est = 1, None
+    coarse = _trace_interval(frame, g, velocity, source, t0, t1, 1)
+    while k < cap:
+        fine = _trace_interval(frame, g, velocity, source, t0, t1, 2 * k)
+        diff, scale = float(np.max(np.abs(fine - coarse))), float(np.max(np.abs(fine)))
+        est = diff / scale if scale > 0.0 else diff
+        if not math.isfinite(est):
+            break
+        if diff <= STEP_TOL * scale:
+            return k, est
+        k, coarse = 2 * k, fine
+    return cap, est
+
+
 @dataclass
 class PicardReport:
     d: list[float]  # d_n = sup_t distance between consecutive iterates
@@ -317,6 +368,8 @@ class PicardReport:
     bound: float | None
     smallness_ok: bool
     final_frame: np.ndarray  # the last iterate at time T
+    steps_per_interval: int  # RK4 steps of the first slice interval
+    step_estimate: float | None  # the step-doubling difference, None for a given dt
 
 
 def picard_run(
@@ -334,33 +387,46 @@ def picard_run(
     evaluated on iterate n.  Iterate 0 is m0 held constant in
     time; the low-pass cutoffs S_j saturate to the identity once j clears
     the grid's top dyadic block.
+
+    With no dt, the first iteration picks the number k of RK4 steps per
+    slice interval by step doubling (`STEP_TOL`), and every iteration steps
+    at dt = (T / (n_slices - 1)) / k.  The doubling stops at T/200, the
+    former default, which is then the step.  A norm of m0 or a distance
+    d_n that is not finite raises `EstimationError`.
     """
     if n_iter < 2:
         raise ConfigError("need at least two iterations to measure a distance")
     g = m0.grid
     part = partition_for(g)
-    if dt is None:
-        dt = T / 200.0
     times = np.linspace(0.0, T, n_slices)
+    interval = times[1] - times[0]
+    finest = T / 200.0  # the former default, where step doubling stops
+    step_estimate = None
 
     m0_norm = besov_norm(m0, s - 1.0, 2.0, 2.0, part)
+    _require_finite(f"||m0||_B^{s - 1.0:g}", m0_norm)
     prev = TimeSlices(g, times, np.tile(m0.values, (len(times), 1)))
     d: list[float] = []
     sups: list[float] = [m0_norm]
     for it in range(1, n_iter + 1):
         vel, src = momentum_coefficients(g, prev.frames, spectrum(prev.frames))
-        cur = solve_transport(
-            low_cutoff(m0, it, part),
-            TimeSlices(g, times, vel),
-            dt,
-            times,
-            TimeSlices(g, times, src),
-        )
-        dist = max(
+        f0 = low_cutoff(m0, it, part)
+        velocity, source = TimeSlices(g, times, vel), TimeSlices(g, times, src)
+        if dt is None:
+            cap = max(1, round(interval / finest))
+            k, step_estimate = _steps_by_doubling(
+                f0.values, g, velocity, source, times[0], times[1], cap
+            )
+            dt = finest if k == cap else interval / k
+        cur = solve_transport(f0, velocity, dt, times, source)
+        del velocity, source  # their tables go before the next iteration's
+        dists = [
             besov_norm(RealField(g, cur.frames[i] - prev.frames[i]), s - 1.0, 2.0, 2.0, part)
             for i in range(len(times))
-        )
-        d.append(dist)
+        ]
+        # max() passes over a NaN that is not first, so check every slice
+        _require_finite(f"the distance d_{it} in B^{s - 1.0:g}", *dists)
+        d.append(max(dists))
         sups.append(
             max(
                 besov_norm(RealField(g, fr), s - 1.0, 2.0, 2.0, part)
@@ -392,4 +458,7 @@ def picard_run(
             fitted_C = float("inf")
             bound = None
             small_ok = False
-    return PicardReport(d, ratios, sups, fitted_C, bound, small_ok, prev.frames[-1])
+    steps = max(1, round(interval / dt))
+    return PicardReport(
+        d, ratios, sups, fitted_C, bound, small_ok, prev.frames[-1], steps, step_estimate
+    )

@@ -582,6 +582,34 @@ class TestRunContract:
         rep = json.loads((out / "report.json").read_text())
         assert list(rep) == ["kind", "error", "passed"] and rep["passed"] is False
 
+    def test_overflowing_picard_norm_fails_with_its_name(self, tmp_path, capsys):
+        # at [run] s = 400 the B^399 norm of the datum overflows
+        path = write(tmp_path, "p.cfg", "[grid]\nn = 256\n[run]\ns = 400.0\n")
+        out = tmp_path / "o"
+        assert main(["picard", "--config", path, "--out", str(out)]) == 1
+        assert "run failed: ||m0||_B^399 is not finite" in capsys.readouterr().err
+        rep = json.loads((out / "report.json").read_text())
+        assert list(rep) == ["kind", "error", "passed"] and rep["passed"] is False
+
+    def test_overflowing_audit_norm_fails_in_time(self, tmp_path):
+        # at [audit] s = 70 V(T) overflows; a bracket that started at
+        # 1/V(T) = 0 doubled it forever
+        path = write(tmp_path, "t.cfg", "[audit]\ns = 70.0\n")
+        out = tmp_path / "o"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gchlab.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gchlab.cli", "transport-test"]
+            + ["--config", path, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "V(T)" in proc.stderr and "not finite" in proc.stderr
+        rep = json.loads((out / "report.json").read_text())
+        assert list(rep) == ["kind", "error", "passed"] and rep["passed"] is False
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sweep_members_keep_the_error_state(self, tmp_path, monkeypatch):
         # run_experiment ignores floating-point overflow; every sweep member

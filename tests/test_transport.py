@@ -1,5 +1,6 @@
 """Characteristic transport: interpolation order, exactness, audit, Picard."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -9,8 +10,8 @@ import pytest
 
 from gchlab import experiments, transport
 from gchlab.config import default_config
-from gchlab.dynamics import SolverConfig, evolve
-from gchlab.errors import ConfigError
+from gchlab.dynamics import SolverConfig, evolve, momentum_coefficients
+from gchlab.errors import ConfigError, EstimationError
 from gchlab.fields import (
     Grid1D,
     RealField,
@@ -19,6 +20,7 @@ from gchlab.fields import (
     spectrum,
     synthesize,
 )
+from gchlab.lpaley import low_cutoff, partition_for
 from gchlab.transport import (
     TimeSlices,
     _wrap_periodic,
@@ -314,6 +316,18 @@ class TestAprioriAudit:
         assert experiments.run_transport_test(cfg, grid, None).passed
         assert len(calls) == 28
 
+    @pytest.mark.parametrize("field", ["velocity", "datum"])
+    def test_nonfinite_norm_fails_before_the_bracket(self, field):
+        # V(T) = inf would start the bracket at C = 0, where doubling never ends
+        g = Grid1D(math.pi, 64)
+        f0, vel = RealField(g, np.sin(g.x)), uniform(1.0)
+        if field == "velocity":
+            vel = uniform(np.inf)
+        else:
+            f0 = RealField(g, np.full(g.n, np.nan))
+        with np.errstate(invalid="ignore"), pytest.raises(EstimationError, match="not finite"):
+            transport_apriori_audit(f0, vel, 1.0, 0.1)
+
 
 class TestPicard:
     def test_bound_arithmetic(self):
@@ -373,3 +387,133 @@ class TestPicard:
         g = Grid1D(20.0, 256)
         with pytest.raises(ConfigError):
             picard_run(RealField(g, np.zeros(g.n)), T=0.1, n_iter=1)
+
+
+def picard_default_datum():
+    cfg = default_config("picard")
+    grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
+    return experiments._initial_field(cfg["data"], grid, None), cfg["run"]
+
+
+class TestPicardStep:
+    """With no dt, picard picks its RK4 steps per slice interval by doubling."""
+
+    @staticmethod
+    def doubling_passes(m0, T, n_slices, k):
+        # the probe: the first interval of the first iteration, with that
+        # iteration's data as picard_run builds them
+        g = m0.grid
+        times = np.linspace(0.0, T, n_slices)
+        frames = np.tile(m0.values, (n_slices, 1))
+        vel, src = momentum_coefficients(g, frames, spectrum(frames))
+        args = (
+            low_cutoff(m0, 1, partition_for(g)).values,
+            g,
+            TimeSlices(g, times, vel),
+            TimeSlices(g, times, src),
+            times[0],
+            times[1],
+        )
+        coarse = transport._trace_interval(*args, k)
+        fine = transport._trace_interval(*args, 2 * k)
+        return np.max(np.abs(fine - coarse)) <= transport.STEP_TOL * np.max(np.abs(fine))
+
+    # the default datum takes one step per interval; five times its
+    # amplitude needs more, below the cap
+    @pytest.mark.parametrize("scale, steps", [(1.0, 1), (5.0, 4)])
+    def test_chosen_steps_are_the_least_that_pass(self, scale, steps):
+        m0, run = picard_default_datum()
+        m0 = RealField(m0.grid, scale * m0.values)
+        rep = picard_run(m0, run["T"], n_iter=2, n_slices=run["n_slices"])
+        k = rep.steps_per_interval
+        assert k == steps
+        assert 0.0 < rep.step_estimate <= transport.STEP_TOL
+        assert self.doubling_passes(m0, run["T"], run["n_slices"], k)
+        assert k == 1 or not self.doubling_passes(m0, run["T"], run["n_slices"], k // 2)
+
+    def test_doubling_stops_at_the_former_default(self):
+        # ten times the default amplitude fails every doubling below 12
+        # steps per interval, the count that T/200 gives
+        m0, run = picard_default_datum()
+        m0 = RealField(m0.grid, 10.0 * m0.values)
+        T = run["T"]
+        rep = picard_run(m0, T, n_iter=2)
+        given = picard_run(m0, T, n_iter=2, dt=T / 200.0)
+        assert rep.steps_per_interval == given.steps_per_interval == 12
+        assert rep.step_estimate > transport.STEP_TOL
+        assert given.step_estimate is None
+        assert rep.d == given.d
+        assert np.array_equal(rep.final_frame, given.final_frame)
+
+    def test_nonfinite_probe_stops_at_the_cap(self):
+        g = Grid1D(math.pi, 64)
+        k, est = transport._steps_by_doubling(
+            np.sin(g.x), g, uniform(1.0), uniform(np.nan), 0.0, 0.1, 12
+        )
+        assert k == 12 and math.isnan(est)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_ladder_fails_with_its_quantity(self, monkeypatch):
+        # a NaN source makes every probe frame NaN: the doubling stops at
+        # the cap, and the first distance names the failure
+        def nan_source(g, frames, coeffs):
+            vel, src = momentum_coefficients(g, frames, coeffs)
+            return vel, np.full_like(src, np.nan)
+
+        monkeypatch.setattr(transport, "momentum_coefficients", nan_source)
+        g = Grid1D(20.0, 256)
+        m0 = RealField(g, 0.2 * np.exp(-(g.x**2) / 2.0))
+        with pytest.raises(EstimationError, match="distance d_1"):
+            picard_run(m0, 0.25, n_iter=2)
+
+    def test_diverged_ladder_ends(self):
+        # the feet are far off the grid and the sources overflow: the
+        # doubling stops at the cap, and the ladder fails on its first
+        # distance instead of hanging or passing over NaN slices
+        g = Grid1D(20.0, 256)
+        m0 = RealField(g, 1e150 * np.exp(-(g.x**2) / 2.0))
+        with np.errstate(all="ignore"), pytest.raises(EstimationError, match="distance d_1"):
+            picard_run(m0, 0.25)
+
+    def test_nonfinite_datum_norm_is_named(self):
+        g = Grid1D(20.0, 256)
+        with np.errstate(invalid="ignore"), pytest.raises(EstimationError, match=r"\|\|m0\|\|"):
+            picard_run(RealField(g, np.full(g.n, np.inf)), 0.25)
+
+    def test_given_former_default_step_keeps_its_bytes(self):
+        # the default run as it stepped at T/200 before the step chooser
+        m0, run = picard_default_datum()
+        rep = picard_run(m0, run["T"], dt=run["T"] / 200.0)
+        assert [x.hex() for x in rep.d] == [
+            "0x1.44b60ae3a6099p-5",
+            "0x1.e05b84c2fb8c9p-7",
+            "0x1.26c27b9326724p-9",
+            "0x1.9111dc09b4de6p-13",
+            "0x1.8380fb9aa770ep-17",
+            "0x1.099115836b47bp-21",
+        ]
+        assert [x.hex() for x in rep.ratios] == [
+            "0x1.7ab5e6308f1aap-2",
+            "0x1.3a2d256c7e748p-3",
+            "0x1.5c54aa6f26283p-4",
+            "0x1.eeae931aa892ep-5",
+            "0x1.5ee324c64b8d0p-5",
+        ]
+        digest = hashlib.sha256(rep.final_frame.tobytes()).hexdigest()
+        assert digest == "c074577049a6002f3f1fbd24c08e35e388fbd51b6db41b7959925a7544e6db4d"
+
+    def test_probe_makes_no_counted_call(self, monkeypatch):
+        # the bench counts solve_transport and besov_norm by name
+        calls = {"solve_transport": 0, "besov_norm": 0}
+        for name in calls:
+            original = getattr(transport, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(transport, name, counted)
+        m0, run = picard_default_datum()
+        n_iter, n_slices = 10, run["n_slices"]
+        picard_run(m0, run["T"], n_iter=n_iter, n_slices=n_slices)
+        assert calls == {"solve_transport": n_iter, "besov_norm": 1 + 2 * n_iter * n_slices}
