@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError
-from .lpaley import AUDIT_IDS
+
+# the besov-audit [audits] ids, in the order "all" runs them
+AUDIT_IDS = ("embedding", "interpolation", "algebra", "morse", "kato_ponce")
 
 # the solver's right-hand-side forms, as [run] rhs_form names them
 RHS_FORMS = ("spectral_form", "m_form", "u_form")
@@ -99,7 +101,6 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
             "n_iter": ("int", 6),
             "s": ("float", 1.5),
             "n_slices": ("int", 17),
-            "dt": ("float", 0.0),
         },
         "data": {
             "kind": ("str", "gaussian"),
@@ -203,12 +204,6 @@ def _steps_ok(T: float, dt: float) -> bool:
 
 
 _T = ("run", "T", lambda v, _: v > 0, "> 0")
-_DT = (
-    "run",
-    "dt",
-    lambda v, cfg: v == 0 or (v > 0 and _steps_ok(cfg["run"]["T"], v)),
-    f"0 (the default step) or > 0 with [run] T / dt <= {MAX_STEPS}",
-)
 _WIDTH = ("data", "width", lambda v, _: v > 0, "> 0")
 
 
@@ -227,7 +222,12 @@ _EVOLVE = _GRID + (
 RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
     "simulate": _EVOLVE
     + (
-        _DT,
+        (
+            "run",
+            "dt",
+            lambda v, cfg: v == 0 or (v > 0 and _steps_ok(cfg["run"]["T"], v)),
+            f"0 (the CFL policy) or > 0 with [run] T / dt <= {MAX_STEPS}",
+        ),
         ("run", "rhs_form", lambda v, _: v in RHS_FORMS, f"one of {RHS_FORMS}"),
         ("data", "kind", lambda v, _: v in DATA_KINDS, f"one of {DATA_KINDS}"),
         _WIDTH,
@@ -275,7 +275,6 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
         _T,
         ("run", "n_iter", lambda v, _: v >= 2, ">= 2"),
         ("run", "n_slices", lambda v, _: v >= 2, ">= 2"),
-        _DT,
         # ratios run 1 .. n_iter - 1; a later start would check none of them
         (
             "check",
@@ -420,10 +419,15 @@ def parse_config(text: str, kind: str) -> dict:
         seen[section, key] = ln
         ty, _ = schema[section][key]
         cfg[section][key] = _parse_value(val, ty, key, ln)
-    for sec, key, ok, need in RANGES.get(kind, ()):
+    check_ranges(cfg, kind)
+    return cfg
+
+
+def check_ranges(cfg: dict, kind: str) -> None:
+    """Raise ConfigError on the first value of cfg outside its RANGES entry."""
+    for sec, key, ok, need in RANGES[kind]:
         if not ok(cfg[sec][key], cfg):
             raise ConfigError(f"[{sec}] {key} must be {need}, got {cfg[sec][key]!r}")
-    return cfg
 
 
 def _fmt_value(v) -> str:

@@ -1,6 +1,6 @@
 """Experiment runners behind the CLI: compute, then write and judge.
 
-A runner `run_<kind>(cfg, grid, seed)` only computes: it returns an
+A runner `run_<kind>(cfg, grid)` only computes: it returns an
 `Outcome` with its report fields, its verdict, the texts of its artifact
 files and its chart, and touches no file.  `run_experiment` is the one place
 that writes: echo.cfg, every file the runner returned, plot.svg when
@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .config import audit_ids, canonical_echo, sweep_amplitudes
+from .config import SCHEMAS, audit_ids, canonical_echo, check_ranges, sweep_amplitudes
 from .errors import ConfigError, EstimationError
 from .fields import (
     Grid1D,
@@ -99,7 +99,7 @@ def _gaussian(grid: Grid1D, amplitude: float, width: float, center: float) -> Re
     )
 
 
-def _initial_field(dcfg: dict, grid: Grid1D, seed: int | None) -> RealField:
+def _initial_field(dcfg: dict, grid: Grid1D) -> RealField:
     kind = dcfg["kind"]
     if kind == "zero":
         return RealField(grid, np.zeros(grid.n))
@@ -110,7 +110,7 @@ def _initial_field(dcfg: dict, grid: Grid1D, seed: int | None) -> RealField:
 
         return peakon_field(grid, 0.0, dcfg["speed"])
     # "random", the last of config.DATA_KINDS
-    rng = np.random.default_rng(dcfg["seed"] if seed is None else seed)
+    rng = np.random.default_rng(dcfg["seed"])
     f = random_band_limited(grid, rng, decay=dcfg["decay"])
     # band-limited noise is periodic, not decaying; a Gaussian envelope
     # (boundary value e^-18) keeps it inside the solver's decay screen
@@ -143,10 +143,10 @@ def _evolve_ok(rep: RunReport, stops: tuple[str, ...]) -> bool:
     return v["wbound_ok"] and v["slope_bound_ok"] and rep.stop_reason in stops
 
 
-def run_simulate(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
+def run_simulate(cfg: dict, grid: Grid1D) -> Outcome:
     from .dynamics import evolve
 
-    u0 = _initial_field(cfg["data"], grid, seed)
+    u0 = _initial_field(cfg["data"], grid)
     rep = evolve(u0, _solver_cfg(cfg["run"]))
     return Outcome(
         {"summary": rep.summary()},
@@ -156,7 +156,7 @@ def run_simulate(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     )
 
 
-def run_peakon_verify(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
+def run_peakon_verify(cfg: dict, grid: Grid1D) -> Outcome:
     from .dynamics import evolve
     from .peakon import (
         PeakonSolution,
@@ -250,7 +250,7 @@ def _blowup_single(cfg: dict, grid: Grid1D, amplitude: float):
     return record, rep
 
 
-def run_blowup_study(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
+def run_blowup_study(cfg: dict, grid: Grid1D) -> Outcome:
     record, rep = _blowup_single(cfg, grid, cfg["data"]["amplitude"])
     files = {"series.csv": rep.to_csv()}
     sweep = []
@@ -278,28 +278,23 @@ def run_blowup_study(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     return Outcome(body, passed, files, _series_chart(rep))
 
 
-def run_picard(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
+def run_picard(cfg: dict, grid: Grid1D) -> Outcome:
     from .dynamics import SolverConfig, evolve
     from .transport import picard_run
 
-    m0 = _initial_field(cfg["data"], grid, seed)
+    m0 = _initial_field(cfg["data"], grid)
     rcfg, ccfg = cfg["run"], cfg["check"]
-    # direct solve from u0 = (1-dx^2)^{-1} m0, compared at the final time;
-    # [run] dt is the transport step, so the solver keeps its CFL policy.
-    # It runs first, so a datum that leaves floating point fails on its CFL
-    # collapse, the cheaper check, before the ladder is traced
+    # direct solve from u0 = (1-dx^2)^{-1} m0 on its CFL policy, compared at
+    # the final time.  It runs first, so a datum that leaves floating point
+    # fails on its CFL collapse, the cheaper check, before the ladder is
+    # traced
     direct = evolve(
         helmholtz_inverse(m0),
         SolverConfig(T=rcfg["T"], rhs_form="m_form", monitor_every=1000000),
     )
     m_direct = apply_one_minus_dxx(direct.final)
     pr = picard_run(
-        m0,
-        rcfg["T"],
-        n_iter=rcfg["n_iter"],
-        s=rcfg["s"],
-        dt=rcfg["dt"] or None,  # 0 picks the step by step doubling
-        n_slices=rcfg["n_slices"],
+        m0, rcfg["T"], n_iter=rcfg["n_iter"], s=rcfg["s"], n_slices=rcfg["n_slices"]
     )
     direct_gap = lp_norm(RealField(grid, pr.final_frame - m_direct.values), 2.0)
 
@@ -330,9 +325,9 @@ def run_picard(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     return Outcome(body, passed, files, chart)
 
 
-def run_besov_audit(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
+def run_besov_audit(cfg: dict, grid: Grid1D) -> Outcome:
     ccfg = cfg["corpus"]
-    rng = np.random.default_rng(ccfg["seed"] if seed is None else seed)
+    rng = np.random.default_rng(ccfg["seed"])
     values = random_band_limited_values(
         grid, rng, ccfg["count"], frac=ccfg["frac"], decay=ccfg["decay"]
     )
@@ -351,7 +346,7 @@ def run_besov_audit(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     )
 
 
-def run_transport_test(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
+def run_transport_test(cfg: dict, grid: Grid1D) -> Outcome:
     from .transport import TimeSlices, solve_transport, transport_apriori_audit
 
     rcfg = cfg["run"]
@@ -377,7 +372,7 @@ def run_transport_test(cfg: dict, grid: Grid1D, seed: int | None) -> Outcome:
     )
 
     acfg = cfg["audit"]
-    rng = np.random.default_rng(acfg["seed"] if seed is None else seed)
+    rng = np.random.default_rng(acfg["seed"])
     vfield = random_band_limited(grid, rng)
     ffield = random_band_limited(grid, rng)
     frozen = TimeSlices(grid, np.array([0.0, T]), np.tile(vfield.values, (2, 1)))
@@ -420,20 +415,27 @@ def run_experiment(
 ) -> int:
     """Run one experiment and write its artifacts into outdir.
 
-    echo.cfg is written first; the runner's files, plot.svg and report.json
-    are written after it returns.  A run that raises leaves echo.cfg and an
+    A `seed` is written into a copy of cfg at the kind's seed key ([data],
+    [corpus] or [audit]; a kind without one ignores it) and checked as a
+    loaded seed is, so echo.cfg and report.json reproduce the run.  echo.cfg
+    is written first; the runner's files, plot.svg and report.json are
+    written after it returns.  A run that raises leaves echo.cfg and an
     error report.json, and the exception propagates.  Returns 0 iff the
     runner's checks passed, else 1.  `threads` is accepted and starts no
     thread: runners compute in the calling thread.
     """
     if kind not in RUNNERS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
+    sec = next((name for name, keys in SCHEMAS[kind].items() if "seed" in keys), None)
+    if seed is not None and sec is not None:
+        cfg = {**cfg, sec: {**cfg[sec], "seed": seed}}
+        check_ranges(cfg, kind)
     _write(outdir, "echo.cfg", canonical_echo(cfg, kind))
     try:
         grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
         # runners detect and report non-finite results themselves
         with np.errstate(over="ignore", invalid="ignore"):
-            out = RUNNERS[kind](cfg, grid, seed)
+            out = RUNNERS[kind](cfg, grid)
         for name, text in out.files.items():
             _write(outdir, name, text)
         if cfg["output"]["plot"]:

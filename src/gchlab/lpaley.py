@@ -8,9 +8,10 @@ and on each grid it takes the corpus spectrum, its p = 2 block norms and its
 sup norms once for all the audits; the p != 2 block loop runs through one
 coefficient buffer and one grid buffer.
 
-The partition uses a smoothed step built from the bump exp(-1/(1-t^2)):
-chi_b(xi) is 1 for |xi| <= 3/4, 0 for |xi| >= 4/3, and the annulus
-multipliers are differences phi_j(xi) = chi_b(xi/2^{j+1}) - chi_b(xi/2^j).
+The partition uses the closed-form C^inf step built from exp(-1/x), with no
+table and nothing built at import: chi_b(xi) is 1 for |xi| <= 3/4, 0 for
+|xi| >= 4/3, and the annulus multipliers are differences
+phi_j(xi) = chi_b(xi/2^{j+1}) - chi_b(xi/2^j).
 Dyadic argument scalings are exact in binary floating point, so the
 telescoping sum reconstructs exactly; the low block is stored as the
 complement 1 - sum_j phi_j and the top octave is renormalized so that the
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
+from .config import AUDIT_IDS
 from .errors import ConfigError, EstimationError
 from .fields import (
     Grid1D,
@@ -38,60 +40,19 @@ from .fields import (
     synthesize,
 )
 
-_GL_NODES = 200
 
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending Gauss-Legendre nodes and weights on [-1, 1].
-
-    Two Newton steps on P_n, evaluated by the three-term recurrence, from
-    Tricomi's estimates reach machine precision (Hale & Townsend, SIAM J.
-    Sci. Comput. 35 (2013) A652).  Elementwise arithmetic only: an
-    eigen-solve would wake a BLAS worker that spins on after it returns.
-    """
-    k = np.arange(n, 0, -1)
-    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
-    for step in range(3):
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1.0)  # P_n'(x)
-        if step < 2:
-            x = x - p1 / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
-_gl_z, _gl_w = _gauss_legendre(_GL_NODES)
-
-
-def _bump(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0 - 1e-14
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
-    return out
-
-
-_BUMP_MASS = float(np.sum(_gl_w * _bump(_gl_z)))
+def _flat(x: np.ndarray) -> np.ndarray:
+    """exp(-1/x) for x > 0 and 0 elsewhere; every derivative vanishes at 0."""
+    return np.exp(np.divide(-1.0, x, out=np.full_like(x, -np.inf), where=x > 0.0))
 
 
 def smooth_step(t: np.ndarray) -> np.ndarray:
-    """C^inf step: 0 for t <= -1, 1 for t >= 1, normalized bump integral."""
+    """C^inf step e(1+t) / (e(1+t) + e(1-t)) with e = `_flat`: exactly 0
+    for t <= -1, 1 for t >= 1 and 1/2 at 0 (Tu, An Introduction to
+    Manifolds, 2nd ed., sec. 13.1)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(t)
-    lo = t <= -1.0
-    hi = t >= 1.0
-    mid = ~(lo | hi)
-    out[lo] = 0.0
-    out[hi] = 1.0
-    if np.any(mid):
-        tm = t[mid]
-        # map GL nodes from [-1, 1] onto [-1, tm] per query point
-        half = 0.5 * (tm + 1.0)
-        xq = -1.0 + np.outer(half, _gl_z + 1.0)
-        vals = _bump(xq) @ _gl_w
-        out[mid] = half * vals / _BUMP_MASS
-    return out
+    rise = _flat(1.0 + t)
+    return rise / (rise + _flat(1.0 - t))
 
 
 _TRANS_MID = (3.0 / 4.0 + 4.0 / 3.0) / 2.0
@@ -101,10 +62,7 @@ _TRANS_HALF = (4.0 / 3.0 - 3.0 / 4.0) / 2.0
 def chi_base(xi: np.ndarray) -> np.ndarray:
     """1 on |xi| <= 3/4, 0 on |xi| >= 4/3, smooth monotone in between."""
     a = np.abs(np.atleast_1d(np.asarray(xi, dtype=float)))
-    out = 1.0 - smooth_step((a - _TRANS_MID) / _TRANS_HALF)
-    out[a <= 0.75] = 1.0
-    out[a >= 4.0 / 3.0] = 0.0
-    return out
+    return 1.0 - smooth_step((a - _TRANS_MID) / _TRANS_HALF)
 
 
 @dataclass
@@ -254,8 +212,6 @@ class AuditReport:
             "passed": self.passed,
         }
 
-
-AUDIT_IDS = ("embedding", "interpolation", "algebra", "morse", "kato_ponce")
 
 # fitted constants must be reproducible under one dyadic grid refinement
 REFINE_BAND = 0.15

@@ -325,7 +325,7 @@ def picard_bound(m0_norm: float, C: float, T: float) -> float:
     return C * m0_norm / (1.0 - q)
 
 
-# Picard's transport step, when none is given: the step-doubling test
+# Picard's transport step: the step-doubling test
 # (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., sec. II.4) accepts k
 # RK4 steps per slice interval when the probe frame traced in k and in 2k
 # steps differs by at most STEP_TOL of its largest value.  The probe is the
@@ -368,8 +368,8 @@ class PicardReport:
     bound: float | None
     smallness_ok: bool
     final_frame: np.ndarray  # the last iterate at time T
-    steps_per_interval: int  # RK4 steps of the first slice interval
-    step_estimate: float | None  # the step-doubling difference, None for a given dt
+    steps_per_interval: int  # RK4 steps of every slice interval
+    step_estimate: float | None  # the step-doubling difference, None at a cap of 1
 
 
 def picard_run(
@@ -377,7 +377,6 @@ def picard_run(
     T: float,
     n_iter: int = 6,
     s: float = 1.5,
-    dt: float | None = None,
     n_slices: int = 17,
 ) -> PicardReport:
     """Run the frozen-coefficient iteration on the momentum datum m0.
@@ -388,11 +387,12 @@ def picard_run(
     time; the low-pass cutoffs S_j saturate to the identity once j clears
     the grid's top dyadic block.
 
-    With no dt, the first iteration picks the number k of RK4 steps per
-    slice interval by step doubling (`STEP_TOL`), and every iteration steps
-    at dt = (T / (n_slices - 1)) / k.  The doubling stops at T/200, the
-    former default, which is then the step.  A norm of m0 or a distance
-    d_n that is not finite raises `EstimationError`.
+    The first iteration picks the number k of RK4 steps per slice interval
+    by step doubling (`STEP_TOL`), and every interval of every iteration is
+    traced in exactly k steps.  The doubling stops at a cap of
+    round(200 / (n_slices - 1)) steps, the 12 that the former step T/200
+    gave at the default 17 slices, and k is then the cap.  A norm of m0 or
+    a distance d_n that is not finite raises `EstimationError`.
     """
     if n_iter < 2:
         raise ConfigError("need at least two iterations to measure a distance")
@@ -400,8 +400,7 @@ def picard_run(
     part = partition_for(g)
     times = np.linspace(0.0, T, n_slices)
     interval = times[1] - times[0]
-    finest = T / 200.0  # the former default, where step doubling stops
-    step_estimate = None
+    cap = max(1, round(200 / (n_slices - 1)))
 
     m0_norm = besov_norm(m0, s - 1.0, 2.0, 2.0, part)
     _require_finite(f"||m0||_B^{s - 1.0:g}", m0_norm)
@@ -412,13 +411,11 @@ def picard_run(
         vel, src = momentum_coefficients(g, prev.frames, spectrum(prev.frames))
         f0 = low_cutoff(m0, it, part)
         velocity, source = TimeSlices(g, times, vel), TimeSlices(g, times, src)
-        if dt is None:
-            cap = max(1, round(interval / finest))
+        if it == 1:
             k, step_estimate = _steps_by_doubling(
                 f0.values, g, velocity, source, times[0], times[1], cap
             )
-            dt = finest if k == cap else interval / k
-        cur = solve_transport(f0, velocity, dt, times, source)
+        cur = solve_transport(f0, velocity, interval / k, times, source)
         del velocity, source  # their tables go before the next iteration's
         dists = [
             besov_norm(RealField(g, cur.frames[i] - prev.frames[i]), s - 1.0, 2.0, 2.0, part)
@@ -458,7 +455,6 @@ def picard_run(
             fitted_C = float("inf")
             bound = None
             small_ok = False
-    steps = max(1, round(interval / dt))
     return PicardReport(
-        d, ratios, sups, fitted_C, bound, small_ok, prev.frames[-1], steps, step_estimate
+        d, ratios, sups, fitted_C, bound, small_ok, prev.frames[-1], k, step_estimate
     )

@@ -258,10 +258,7 @@ class TestCli:
             "[run]\nT = 0.0\n",
             "[run]\nT = -0.25\n",
             "[run]\nT = nan\n",
-            "[run]\ndt = -0.01\n",
             "[check]\nratio_from = 0\n",
-            # T / dt = 2.5e299 transport steps per iteration
-            "[run]\ndt = 1e-300\n",
             # ratios run 1 .. n_iter - 1, so this would check none of them
             "[run]\nn_iter = 6\n[check]\nratio_from = 9\n",
             "[run]\nn_iter = 6\n[check]\nratio_from = 6\n",
@@ -421,6 +418,18 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # picard picks its transport step itself
+    @pytest.mark.parametrize("dt", ["0.0", "-0.01", "1e-300"])
+    def test_picard_dt_is_an_unknown_key(self, tmp_path, capsys, dt):
+        path = write(tmp_path, "p.cfg", f"[run]\ndt = {dt}\n")
+        out = tmp_path / "o"
+        rc = main(["picard", "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "unknown key 'dt' in [run]" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_range_edges_accepted(self):
         text = "[run]\ncfl_sigma = 1.0\nmonitor_every = 1\n"
         cfg = parse_config(text, "simulate")
@@ -454,7 +463,7 @@ class TestCli:
 
     def test_picard_range_edges_accepted(self):
         cfg = parse_config(
-            "[run]\nn_slices = 2\nn_iter = 2\ndt = 0.0\n[check]\nratio_from = 1\n",
+            "[run]\nn_slices = 2\nn_iter = 2\n[check]\nratio_from = 1\n",
             "picard",
         )
         assert (cfg["run"]["n_slices"], cfg["run"]["n_iter"]) == (2, 2)
@@ -728,6 +737,36 @@ class TestDeterminism:
         a = read_artifacts(out_a, ("series.csv",))
         b = read_artifacts(out_b, ("series.csv",))
         assert a != b
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("besov-audit", "[grid]\nn = 256\n[corpus]\ncount = 12\n"),
+            ("transport-test", "[grid]\nn = 256\n"),
+        ],
+    )
+    def test_seeded_run_reproduces_from_its_echo(self, tmp_path, kind, text):
+        path = write(tmp_path, "s.cfg", text)
+        seeded, echoed = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main([kind, "--config", path, "--out", seeded, "--seed", "5"]) == 0
+        echo = os.path.join(seeded, "echo.cfg")
+        assert main([kind, "--config", echo, "--out", echoed]) == 0
+        a, b = read_artifacts(seeded), read_artifacts(echoed)
+        assert a == b
+        assert json.loads(a["report.json"])["config"] == parse_config(
+            open(echo).read(), kind
+        )
+        unseeded = str(tmp_path / "c")
+        assert main([kind, "--config", path, "--out", unseeded]) == 0
+        assert read_artifacts(unseeded)["report.json"] != a["report.json"]
+
+    def test_negative_seed_fails_before_any_write(self, tmp_path):
+        cfg = default_config("besov-audit")
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError, match=r"\[corpus\] seed must be >= 0"):
+            experiments.run_experiment("besov-audit", cfg, str(out), -1)
+        assert not out.exists()
+        assert cfg["corpus"]["seed"] == 0
 
     def test_besov_audit_byte_identical(self, tmp_path):
         path = write(tmp_path, "ba.cfg", "[grid]\nn = 256\n[corpus]\ncount = 12\n")

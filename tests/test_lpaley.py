@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from gchlab import experiments, fields, lpaley
-from gchlab.config import default_config
+from gchlab.config import AUDIT_IDS, default_config
 from gchlab.errors import ConfigError
 from gchlab.fields import (
     Grid1D,
@@ -31,7 +31,6 @@ from gchlab.fields import (
     synthesize,
 )
 from gchlab.lpaley import (
-    AUDIT_IDS,
     besov_norm,
     build_partition,
     chi_base,
@@ -48,16 +47,20 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 class TestMollifier:
     def test_step_pins_endpoints(self):
-        t = np.array([-2.0, -1.0, 1.0, 3.0])
-        s = smooth_step(t)
-        assert np.array_equal(s[:2], [0.0, 0.0])
-        assert np.array_equal(s[2:], [1.0, 1.0])
+        # exactly 0 for t <= -1 and 1 for t >= 1, out to the infinities
+        t = np.array([-np.inf, -1e300, -3.0, -1.0, 1.0, 3.0, 1e300, np.inf])
+        assert np.array_equal(smooth_step(t), [0.0] * 4 + [1.0] * 4)
+        assert np.array_equal(smooth_step(np.nextafter([-1.0, 1.0], [-2.0, 2.0])), [0.0, 1.0])
 
     def test_step_monotone(self):
-        t = np.linspace(-1.2, 1.2, 401)
-        s = smooth_step(t)
-        assert np.all(np.diff(s) >= -1e-15)
-        assert abs(smooth_step(np.array([0.0]))[0] - 0.5) < 1e-12
+        assert np.all(np.diff(smooth_step(np.linspace(-1.1, 1.1, 200001))) >= 0.0)
+
+    def test_step_is_exactly_one_half_at_zero(self):
+        assert smooth_step(0.0)[0] == 0.5
+
+    def test_step_is_odd_about_one_half(self):
+        t = np.linspace(-1.5, 1.5, 30001)
+        assert np.max(np.abs(smooth_step(t) + smooth_step(-t) - 1.0)) <= 1e-15
 
     def test_chi_plateau_and_support(self):
         xi = np.array([0.0, 0.5, 0.75, 4.0 / 3.0, 2.0, 10.0])
@@ -67,31 +70,14 @@ class TestMollifier:
         mid = chi_base(np.array([1.0]))[0]
         assert 0.0 < mid < 1.0
 
-
-class TestGaussLegendre:
-    """The bump integral's 200-node table, built without an eigen-solve."""
-
-    def test_matches_leggauss(self):
-        z, w = np.polynomial.legendre.leggauss(lpaley._GL_NODES)
-        x, wx = lpaley._gauss_legendre(lpaley._GL_NODES)
-        assert np.max(np.abs(x - z)) <= 2e-15
-        assert np.max(np.abs(wx / w - 1.0)) <= 1e-10
-
-    def test_even_moments_are_exact(self):
-        x, w = lpaley._gauss_legendre(lpaley._GL_NODES)
-        for m in range(21):
-            assert abs(np.sum(w * x ** (2 * m)) - 2.0 / (2 * m + 1)) <= 1e-14
-
-    @pytest.mark.parametrize("n", [512, 1024])
-    def test_partition_matches_leggauss_reference(self, monkeypatch, n):
-        grid = Grid1D(20.0, n)
-        mult = build_partition(grid).multipliers
-        z, w = np.polynomial.legendre.leggauss(lpaley._GL_NODES)
-        monkeypatch.setattr(lpaley, "_gl_z", z)
-        monkeypatch.setattr(lpaley, "_gl_w", w)
-        monkeypatch.setattr(lpaley, "_BUMP_MASS", float(np.sum(w * lpaley._bump(z))))
-        ref = build_partition(grid).multipliers
-        assert np.max(np.abs(mult - ref)) <= 1e-14
+    def test_chi_is_exact_beside_its_plateau_and_support_ends(self):
+        ends = np.array([0.75, 4.0 / 3.0])
+        c = chi_base(np.concatenate([np.nextafter(ends, 0.0), ends, np.nextafter(ends, 2.0)]))
+        assert np.array_equal(c[[0, 2]], [1.0, 1.0])
+        assert np.array_equal(c[[3, 5]], [0.0, 0.0])
+        xi = np.random.default_rng(3).uniform(0.0, 3.0, 200000)
+        c = chi_base(xi)
+        assert np.all(c[xi <= 0.75] == 1.0) and np.all(c[xi >= 4.0 / 3.0] == 0.0)
 
     def test_import_leaves_no_spinning_worker(self):
         # numpy's own start-up spin is over after the first sleep; an
@@ -423,7 +409,7 @@ class TestAuditRun:
 
         monkeypatch.setattr(lpaley, "refine_values", counted_refine)
         monkeypatch.setattr(lpaley, "spectrum", counted_spectrum)
-        assert experiments.run_besov_audit(cfg, grid, None).passed
+        assert experiments.run_besov_audit(cfg, grid).passed
         assert len(refined) == 1
         coarse = refined[0]
         assert coarse.shape == (cfg["corpus"]["count"], grid.n)
@@ -435,10 +421,10 @@ class TestAuditRun:
         # 4.71 MB with the shared per-grid stacks.  A warm-up run first, so
         # the partitions and numpy's lazy imports are not counted.
         cfg, grid = defaults
-        experiments.run_besov_audit(cfg, grid, None)
+        experiments.run_besov_audit(cfg, grid)
         tracemalloc.start()
         try:
-            experiments.run_besov_audit(cfg, grid, None)
+            experiments.run_besov_audit(cfg, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
