@@ -22,6 +22,9 @@ RHS_FORMS = ("spectral_form", "m_form", "u_form")
 # evolve gives up with DivergedError after this many steps; load time
 # rejects a config whose fixed step plans more
 MAX_STEPS = 2_000_000
+# the most quadrature nodes peakon-verify's residual ladder may put on its
+# finest rung
+MAX_NODES = 2**24
 
 # schema: section -> key -> (type tag, default)
 SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
@@ -53,7 +56,6 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
             "T": ("float", 1.0),
             "cfl_sigma": ("float", 0.3),
             "monitor_every": ("int", 10),
-            "rel_tol": ("float", 1e-2),
         },
         "residual": {
             "x0": ("float", 0.5),
@@ -66,8 +68,6 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
             "p1": ("float", 0.5),
             "p2": ("float", -0.25),
             "p3": ("float", 0.0),
-            "tol": ("float", 1e-4),
-            "order_min": ("float", 1.5),
         },
         "output": {"plot": ("bool", True)},
     },
@@ -110,11 +110,6 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
             "decay": ("float", 2.0),
             "seed": ("int", 0),
         },
-        "check": {
-            "ratio_max": ("float", 0.75),
-            "ratio_from": ("int", 3),
-            "direct_tol": ("float", 1e-4),
-        },
         "output": {"plot": ("bool", True)},
     },
     "besov-audit": {
@@ -132,7 +127,6 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
         "grid": {"L": ("float", 3.141592653589793), "n": ("int", 512)},
         # dt0 keeps the whole ladder above the cubic-interpolation floor
         "run": {"T": ("float", 1.0), "levels": ("int", 4), "dt0": ("float", 0.5)},
-        "check": {"order_min": ("float", 3.0), "exact_tol": ("float", 1e-8)},
         "audit": {"s": ("float", 0.5), "dt": ("float", 0.01), "seed": ("int", 0)},
         "output": {"plot": ("bool", True)},
     },
@@ -170,8 +164,12 @@ def _power_of_two(n: int) -> bool:
 
 
 def _partition_n(n: int, cfg: dict) -> bool:
-    """A dyadic partition needs j_max = floor(log2(k_Nyquist / 0.75)) >= 1."""
-    return _power_of_two(n) and math.pi * (n // 2) / cfg["grid"]["L"] >= 1.5
+    """A dyadic partition needs j_max = floor(log2(k_Nyquist / 0.75)) >= 1,
+    and <= 1023 for its scales 2^j to be doubles."""
+    if not _power_of_two(n):
+        return False
+    k_nyquist = math.pi * (n // 2) / cfg["grid"]["L"]
+    return k_nyquist >= 1.5 and k_nyquist / 0.75 < 2.0**1023
 
 
 def _grid_steps(L: float, cfg: dict) -> bool:
@@ -194,8 +192,26 @@ _GRID = (
 )
 _PARTITION_GRID = (
     _GRID[0],
-    ("grid", "n", _partition_n, "a power of two >= 16 with pi (n/2) / L >= 1.5"),
+    (
+        "grid",
+        "n",
+        _partition_n,
+        "a power of two >= 16 with 1.5 <= pi (n/2) / L < 0.75 * 2^1023",
+    ),
 )
+
+
+def _weights_finite(sigmas: tuple[float, ...], cfg: dict) -> bool:
+    """A B^sigma norm squares the weight 2^(sigma j) of each dyadic block
+    j = -1 .. j_max (`lpaley._besov_sum`); 2 |sigma| j_max < 1024 keeps
+    every square a finite double.  j_max is the grid's top block, as
+    `lpaley.build_partition` counts it, and is >= 1 on any grid that loads."""
+    L, n = cfg["grid"]["L"], cfg["grid"]["n"]
+    j_max = math.floor(math.log2(math.pi * (n // 2) / L / 0.75))
+    return all(2.0 * abs(sigma) * j_max < 1024 for sigma in sigmas)
+
+
+_J_MAX = "j_max = floor(log2(pi (n/2) / L / 0.75))"
 
 
 def _steps_ok(T: float, dt: float) -> bool:
@@ -254,8 +270,8 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
             "levels",
             lambda v, cfg: v >= 2
             and cfg["residual"]["nx0"] * cfg["residual"]["nt0"]
-            <= math.ldexp(1.0, 24 - 2 * (v - 1)),
-            ">= 2 with nx0 * nt0 * 4^(levels - 1) <= 2^24 (nodes on the finest rung)",
+            <= math.ldexp(MAX_NODES, -2 * (v - 1)),
+            f">= 2 with nx0 * nt0 * 4^(levels - 1) <= {MAX_NODES} (nodes on the finest rung)",
         ),
     ),
     "blowup-study": _EVOLVE
@@ -273,14 +289,15 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
     "picard": _PARTITION_GRID
     + (
         _T,
-        ("run", "n_iter", lambda v, _: v >= 2, ">= 2"),
+        # the verdict checks the contraction ratios from the third on
+        ("run", "n_iter", lambda v, _: v >= 4, ">= 4"),
         ("run", "n_slices", lambda v, _: v >= 2, ">= 2"),
-        # ratios run 1 .. n_iter - 1; a later start would check none of them
+        # the ladder's norms are in B^(s - 1)
         (
-            "check",
-            "ratio_from",
-            lambda v, cfg: 1 <= v <= cfg["run"]["n_iter"] - 1,
-            "between 1 and [run] n_iter - 1",
+            "run",
+            "s",
+            lambda v, cfg: _weights_finite((v - 1.0,), cfg),
+            f"a number with 2 |s - 1| j_max < 1024, {_J_MAX}",
         ),
         # picard's [data] has no speed to build a peakon from
         (
@@ -328,6 +345,13 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
             "dt",
             lambda v, cfg: v > 0 and _steps_ok(cfg["run"]["T"], 0.5 * v),
             f"> 0 with 2 [run] T / dt <= {MAX_STEPS}",
+        ),
+        # the audit takes frame norms in B^s and velocity norms in B^(s + 2)
+        (
+            "audit",
+            "s",
+            lambda v, cfg: _weights_finite((v, v + 2.0), cfg),
+            f"a number with 2 max(|s|, |s + 2|) j_max < 1024, {_J_MAX}",
         ),
         _seed("audit"),
     ),

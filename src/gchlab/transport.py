@@ -99,10 +99,13 @@ def cubic_interp_periodic(values: np.ndarray, grid: Grid1D, xq: np.ndarray) -> n
 class TimeSlices:
     """Snapshots of a field on a shared grid, interpolated linearly in t.
 
-    The frames are a read-only copy.  Sampling at points builds the
-    coefficient table of every frame on first use and blends the tables of
-    the two neighbouring slices; the last (t, blended table) is memoized,
-    since an RK4 backtrace samples each time twice.
+    The frames are a read-only copy.  Sampling at the grid nodes themselves
+    (the grid's own `x` array) returns the frame at t.  Sampling at other
+    points builds the coefficient table of every frame on first use and
+    blends the tables of the two neighbouring slices; the last (t, blended
+    table) is memoized, since an RK4 backtrace samples each time twice.  At
+    a slice time, or outside the slice range, the blend is that slice's
+    frame or table itself.
     """
 
     def __init__(self, grid: Grid1D, times: np.ndarray, frames: np.ndarray):
@@ -132,6 +135,8 @@ class TimeSlices:
         if t >= ts[-1]:
             return stack[..., -1, :]
         j = int(np.searchsorted(ts, t, side="right")) - 1
+        if t == ts[j]:
+            return stack[..., j, :]
         th = (t - ts[j]) / (ts[j + 1] - ts[j])
         return (1.0 - th) * stack[..., j, :] + th * stack[..., j + 1, :]
 
@@ -139,6 +144,8 @@ class TimeSlices:
         return self._blend(self.frames, t)
 
     def __call__(self, t: float, xq: np.ndarray) -> np.ndarray:
+        if xq is self.grid.x:
+            return self.at(t)
         last = self._last
         if last is None or last[0] != t:
             if self._tables is None:
@@ -155,7 +162,8 @@ def _trace_interval(frame, g: Grid1D, velocity, source, t0: float, t1: float, ns
     the feet, and the source is summed along the path by the trapezoid rule.
     """
     h = (t1 - t0) / nst
-    x = g.x.copy()
+    # the first samples are at the nodes themselves; each step makes a new x
+    x = g.x
     acc = np.zeros(g.n)
     s_here = source(t1, x) if source is not None else None
     t = t1

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gchlab
-from gchlab import experiments
+from gchlab import config, experiments
 from gchlab.cli import main
 from gchlab.config import (
     KINDS,
@@ -25,7 +26,9 @@ from gchlab.config import (
     default_config,
     parse_config,
 )
-from gchlab.errors import ConfigError
+from gchlab.errors import ConfigError, EstimationError
+from gchlab.fields import Grid1D
+from gchlab.transport import picard_run
 
 SIM_SMOKE = """
 [grid]
@@ -238,6 +241,103 @@ class TestGrammarProperties:
             assert not os.path.exists(out)
 
 
+# The completion property: the accepted edge of every numeric range loads
+# and runs to an end.  Each edge runs in a fresh process on a small grid.
+# The step and node budgets are scaled down in the test and in that
+# process alike, so the edges they set cost 256 steps or 4,096 quadrature
+# nodes instead of 2,000,000 steps or 2^24 nodes.
+EDGE_STEPS, EDGE_NODES = 256, 2**12
+EDGE_BASE = {
+    # a fixed step, so that [run] dt and T reach the step budget
+    "simulate": "[grid]\nn = 128\n[run]\nT = 0.05\ndt = 0.0125\n[data]\nwidth = 2.0\n",
+    "peakon-verify": "[grid]\nn = 64\n[run]\nT = 0.05\n"
+    "[residual]\nlevels = 2\nnx0 = 4\nnt0 = 4\n",
+    "blowup-study": BLOWUP_SMOKE.replace("n = 512", "n = 64"),
+    "picard": "[grid]\nn = 64\n[run]\nn_iter = 4\nn_slices = 3\n",
+    "besov-audit": "[grid]\nn = 64\n[corpus]\ncount = 2\n",
+    "transport-test": "[grid]\nn = 64\n[run]\nlevels = 2\n",
+}
+EDGE_PROBE = """
+import sys
+from gchlab import cli, config, dynamics
+config.MAX_STEPS = dynamics.MAX_STEPS = int(sys.argv[1])
+config.MAX_NODES = int(sys.argv[2])
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def _float_order(x: float) -> int:
+    """An integer that orders the doubles as their values, one per double."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & (2**63 - 1))
+
+
+def _order_float(i: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", i if i >= 0 else 2**63 | -i))[0]
+
+
+def _edges(kind: str, base: dict, sec: str, key: str) -> list:
+    """The accepted values of [sec] key at the two ends of the run of
+    accepted values around base's, every other key as in base.  A side
+    accepted out to its far end (the largest double, 2^62) has no edge."""
+    v0 = base[sec][key]
+    if key == "n":  # a power of two: walk the exponents
+        to_value, c0, ends = (lambda c: 2**c), v0.bit_length() - 1, (0, 62)
+    elif SCHEMAS[kind][sec][key][0] == "int":
+        to_value, c0, ends = int, v0, (-(2**62), 2**62)
+    else:
+        big = _float_order(sys.float_info.max)
+        to_value, c0, ends = _order_float, _float_order(v0), (-big, big)
+
+    def ok(c: int) -> bool:
+        cfg = {name: dict(keys) for name, keys in base.items()}
+        cfg[sec][key] = to_value(c)
+        return _in_range(cfg, kind)
+
+    edges = []
+    for end in ends:
+        if ok(end):
+            continue
+        # gallop out from the base to a rejected value, then bisect
+        inside, step = c0, 1
+        out = c0 + step if end > c0 else c0 - step
+        while ok(out):
+            inside, step = out, 2 * step
+            out = min(c0 + step, end) if end > c0 else max(c0 - step, end)
+        while abs(out - inside) > 1:
+            mid = (inside + out) // 2
+            inside, out = (mid, out) if ok(mid) else (inside, mid)
+        edges.append(to_value(inside))
+    return sorted(set(edges))
+
+
+class TestCompletion:
+    @pytest.mark.parametrize("kind,sec,key", NUMERIC_RANGES)
+    def test_accepted_edges_run_to_an_end(self, tmp_path, monkeypatch, kind, sec, key):
+        monkeypatch.setattr(config, "MAX_STEPS", EDGE_STEPS)
+        monkeypatch.setattr(config, "MAX_NODES", EDGE_NODES)
+        base = parse_config(EDGE_BASE[kind], kind)
+        edges = _edges(kind, base, sec, key)
+        assert edges, "a range with no edge rejects nothing"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gchlab.__file__)))
+        for i, v in enumerate(edges):
+            cfg = {name: dict(keys) for name, keys in base.items()}
+            cfg[sec][key] = v
+            path = write(tmp_path, f"edge{i}.cfg", canonical_echo(cfg, kind))
+            out = tmp_path / f"o{i}"
+            proc = subprocess.run(
+                [sys.executable, "-c", EDGE_PROBE, str(EDGE_STEPS), str(EDGE_NODES)]
+                + [kind, "--config", path, "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode in (0, 1), (v, proc.stderr)
+            rep = json.loads((out / "report.json").read_text())
+            assert rep["passed"] is (proc.returncode == 0), v
+
+
 class TestCli:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "absent.cfg")])
@@ -258,10 +358,9 @@ class TestCli:
             "[run]\nT = 0.0\n",
             "[run]\nT = -0.25\n",
             "[run]\nT = nan\n",
-            "[check]\nratio_from = 0\n",
-            # ratios run 1 .. n_iter - 1, so this would check none of them
-            "[run]\nn_iter = 6\n[check]\nratio_from = 9\n",
-            "[run]\nn_iter = 6\n[check]\nratio_from = 6\n",
+            # the verdict checks the ratios from n = 3 on; three iterates
+            # give none of them
+            "[run]\nn_iter = 3\n",
         ],
     )
     def test_picard_range_fails_at_load_time(self, tmp_path, capsys, text):
@@ -354,6 +453,9 @@ class TestCli:
             ("transport-test", "[grid]\nL = 20.0\nn = 16\n"),
             # one ulp above L = 8 pi / 1.5
             ("besov-audit", "[grid]\nL = 16.755160819145566\nn = 16\n"),
+            # k_Nyquist / 0.75 overflows, and j_max with it (a traceback in
+            # build_partition)
+            ("besov-audit", "[grid]\nL = 5.6e-307\nn = 64\n"),
             # dx = 2L/n rounds to 0 (a traceback in rfftfreq) or overflows
             ("simulate", "[grid]\nL = 5e-324\nn = 512\n"),
             ("besov-audit", "[grid]\nL = 5e-324\nn = 512\n"),
@@ -366,6 +468,13 @@ class TestCli:
             # rate_report needs three samples; this used to fail after the evolve
             ("blowup-study", "[estimate]\nwindow = 0\n"),
             ("blowup-study", "[estimate]\nwindow = 2\n"),
+            # the top dyadic weight 2^((s + 2) 8) of the velocity norm squares
+            # past the largest double: this passed with fitted_C 4.8e-141
+            ("transport-test", "[audit]\ns = 64.0\n"),
+            ("transport-test", "[audit]\ns = -66.0\n"),
+            # so does 2^((s - 1) 6) of the datum's norm: this failed at run time
+            ("picard", "[run]\ns = 400.0\n"),
+            ("picard", "[run]\ns = 87.0\n"),
         ],
     )
     def test_range_fails_at_load_time(self, tmp_path, capsys, kind, text):
@@ -418,6 +527,35 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # the pass bars are fixed in the runners
+    @pytest.mark.parametrize(
+        "kind, sec, key",
+        [
+            ("peakon-verify", "run", "rel_tol"),
+            ("peakon-verify", "residual", "tol"),
+            ("peakon-verify", "residual", "order_min"),
+            ("picard", "check", "ratio_max"),
+            ("picard", "check", "ratio_from"),
+            ("picard", "check", "direct_tol"),
+            ("transport-test", "check", "order_min"),
+            ("transport-test", "check", "exact_tol"),
+        ],
+    )
+    def test_pass_bar_is_an_unknown_key(self, tmp_path, capsys, kind, sec, key):
+        path = write(tmp_path, "b.cfg", f"[{sec}]\n{key} = 1\n")
+        out = tmp_path / "o"
+        rc = main([kind, "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        # a section left without keys is gone too, and its header fails first
+        if sec in SCHEMAS[kind]:
+            assert f"unknown key '{key}' in [{sec}]" in err
+        else:
+            assert f"unknown section [{sec}]" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     # picard picks its transport step itself
     @pytest.mark.parametrize("dt", ["0.0", "-0.01", "1e-300"])
     def test_picard_dt_is_an_unknown_key(self, tmp_path, capsys, dt):
@@ -460,14 +598,14 @@ class TestCli:
         # k_Nyquist = pi (16/2) / L is exactly 1.5: j_max = 1
         cfg = parse_config("[grid]\nL = 16.755160819145562\nn = 16\n", "besov-audit")
         assert math.pi * 8 / cfg["grid"]["L"] == 1.5
+        # the largest squared dyadic weights, 2^(2 * 63 * 8) and
+        # 2^(2 * 85 * 6), stay finite on the default grids
+        assert parse_config("[audit]\ns = 61.0\n", "transport-test")["audit"]["s"] == 61.0
+        assert parse_config("[run]\ns = 86.0\n", "picard")["run"]["s"] == 86.0
 
     def test_picard_range_edges_accepted(self):
-        cfg = parse_config(
-            "[run]\nn_slices = 2\nn_iter = 2\n[check]\nratio_from = 1\n",
-            "picard",
-        )
-        assert (cfg["run"]["n_slices"], cfg["run"]["n_iter"]) == (2, 2)
-        assert cfg["check"]["ratio_from"] == 1
+        cfg = parse_config("[run]\nn_slices = 2\nn_iter = 4\n", "picard")
+        assert (cfg["run"]["n_slices"], cfg["run"]["n_iter"]) == (2, 4)
 
     def test_simulate_smoke_passes(self, tmp_path, capsys):
         path = write(tmp_path, "sim.cfg", SIM_SMOKE)
@@ -498,13 +636,13 @@ class TestCli:
         assert rc == 0
 
     def test_failed_hard_assertion_exits_one(self, tmp_path, capsys):
-        path = write(
-            tmp_path, "tt.cfg", "[grid]\nn = 256\n[check]\norder_min = 9.9\n"
-        )
+        # 64 points interpolate too coarsely for third order in dt
+        path = write(tmp_path, "tt.cfg", "[grid]\nn = 64\n")
         rc = main(["transport-test", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "transport-test: FAIL" in capsys.readouterr().out
         rep = json.loads(open(tmp_path / "o" / "report.json").read())
+        assert rep["fitted_order"] < experiments.TRANSPORT_ORDER_MIN
         assert rep["passed"] is False
 
     def test_shallow_blowup_smoke(self, tmp_path):
@@ -527,6 +665,25 @@ SMALL = {
     "besov-audit": "[grid]\nn = 256\n[corpus]\ncount = 12\n[output]\nplot = true\n",
     "transport-test": "[grid]\nn = 256\n",
 }
+
+
+AUDIT_PROBE = """
+import math
+import numpy as np
+from gchlab.errors import EstimationError
+from gchlab.fields import Grid1D, random_band_limited
+from gchlab.transport import TimeSlices, transport_apriori_audit
+
+grid = Grid1D(math.pi, 512)
+rng = np.random.default_rng(0)
+v, f = random_band_limited(grid, rng), random_band_limited(grid, rng)
+frozen = TimeSlices(grid, [0.0, 1.0], np.tile(v.values, (2, 1)))
+with np.errstate(over="ignore", invalid="ignore"):
+    try:
+        transport_apriori_audit(f, frozen, 1.0, 0.01, s=70.0)
+    except EstimationError as exc:
+        print(exc)
+"""
 
 
 class TestRunContract:
@@ -591,33 +748,30 @@ class TestRunContract:
         rep = json.loads((out / "report.json").read_text())
         assert list(rep) == ["kind", "error", "passed"] and rep["passed"] is False
 
-    def test_overflowing_picard_norm_fails_with_its_name(self, tmp_path, capsys):
-        # at [run] s = 400 the B^399 norm of the datum overflows
-        path = write(tmp_path, "p.cfg", "[grid]\nn = 256\n[run]\ns = 400.0\n")
-        out = tmp_path / "o"
-        assert main(["picard", "--config", path, "--out", str(out)]) == 1
-        assert "run failed: ||m0||_B^399 is not finite" in capsys.readouterr().err
-        rep = json.loads((out / "report.json").read_text())
-        assert list(rep) == ["kind", "error", "passed"] and rep["passed"] is False
+    # [run] s = 400 and [audit] s = 70 fail at load time now, so the two
+    # tests below reach the run-time guards behind those ranges directly
+    def test_overflowing_picard_norm_fails_with_its_name(self):
+        # at s = 400 the B^399 norm of the datum overflows
+        grid = Grid1D(20.0, 256)
+        m0 = experiments._initial_field(default_config("picard")["data"], grid)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            EstimationError, match=r"^\|\|m0\|\|_B\^399 is not finite"
+        ):
+            picard_run(m0, 0.25, s=400.0)
 
-    def test_overflowing_audit_norm_fails_in_time(self, tmp_path):
-        # at [audit] s = 70 V(T) overflows; a bracket that started at
-        # 1/V(T) = 0 doubled it forever
-        path = write(tmp_path, "t.cfg", "[audit]\ns = 70.0\n")
-        out = tmp_path / "o"
+    def test_overflowing_audit_norm_fails_in_time(self):
+        # at s = 70 on transport-test's grid and data V(T) overflows; a
+        # bracket that started at 1/V(T) = 0 doubled it forever
         src = os.path.dirname(os.path.dirname(os.path.abspath(gchlab.__file__)))
         proc = subprocess.run(
-            [sys.executable, "-m", "gchlab.cli", "transport-test"]
-            + ["--config", path, "--out", str(out)],
+            [sys.executable, "-c", AUDIT_PROBE],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
             text=True,
             timeout=60,
         )
-        assert proc.returncode == 1
-        assert "V(T)" in proc.stderr and "not finite" in proc.stderr
-        rep = json.loads((out / "report.json").read_text())
-        assert list(rep) == ["kind", "error", "passed"] and rep["passed"] is False
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("V(T)") and "not finite" in proc.stdout
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sweep_members_keep_the_error_state(self, tmp_path, monkeypatch):
