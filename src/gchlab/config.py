@@ -17,8 +17,6 @@ from .errors import ConfigError
 # the besov-audit [audits] ids, in the order "all" runs them
 AUDIT_IDS = ("embedding", "interpolation", "algebra", "morse", "kato_ponce")
 
-# the solver's right-hand-side forms, as [run] rhs_form names them
-RHS_FORMS = ("spectral_form", "m_form", "u_form")
 # evolve gives up with DivergedError after this many steps; load time
 # rejects a config whose fixed step plans more
 MAX_STEPS = 2_000_000
@@ -32,7 +30,6 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
         "grid": {"L": ("float", 40.0), "n": ("int", 4096)},
         "run": {
             "T": ("float", 0.25),
-            "rhs_form": ("str", "spectral_form"),
             "cfl_sigma": ("float", 0.3),
             "dt": ("float", 0.0),
             "monitor_every": ("int", 10),
@@ -244,7 +241,6 @@ RANGES: dict[str, tuple[tuple[str, str, object, str], ...]] = {
             lambda v, cfg: v == 0 or (v > 0 and _steps_ok(cfg["run"]["T"], v)),
             f"0 (the CFL policy) or > 0 with [run] T / dt <= {MAX_STEPS}",
         ),
-        ("run", "rhs_form", lambda v, _: v in RHS_FORMS, f"one of {RHS_FORMS}"),
         ("data", "kind", lambda v, _: v in DATA_KINDS, f"one of {DATA_KINDS}"),
         _WIDTH,
         _seed("data"),

@@ -1,9 +1,10 @@
-"""Time evolution of the peaked-wave equation in its equivalent forms.
+"""Time evolution of the peaked-wave equation in its spectral form.
 
 The evolving state is the half spectrum of u: the real-FFT coefficients
-spectrum(u), index-aligned with grid.k (see fields).  The three right-hand
-sides map coefficients to coefficients and are algebraically identical
-(see tests/test_symbolic.py):
+spectrum(u), index-aligned with grid.k (see fields).  The equation has three
+right-hand sides that map coefficients to coefficients and are
+algebraically identical (see tests/test_symbolic.py); the solver integrates
+the spectral form, and the other two are kept to check it against:
 
   spectral form   u_t = (1-dx^2)^{-1} dx(2+dx) [(2-dx)u]^2
   momentum form   m_t = 2m^2 + (8u_x-4u)m + (4u-2u_x)m_x + 2(u+u_x)^2,
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .config import MAX_STEPS, RHS_FORMS
+from .config import MAX_STEPS
 from .errors import ConfigError, DivergedError
 from .fields import (
     Grid1D,
@@ -59,7 +60,7 @@ def momentum_coefficients(
 
 
 class _Kernel:
-    """Precomputed multipliers for one grid; all rhs forms share it.
+    """Precomputed multipliers for one grid; all three rhs forms share it.
 
     Each rhs maps state coefficients to (rhs coefficients, w on the grid),
     where w = 2u - u_x gives the CFL speed.  A kernel holds no per-call
@@ -69,9 +70,8 @@ class _Kernel:
     def __init__(self, grid: Grid1D):
         self.grid = grid
         self.mask = dealias_mask(grid)
-        # symbols of 2 - dx (u -> w) and 1 - dx^2 (u -> m)
+        # symbol of 2 - dx (u -> w)
         self.to_w = 2.0 - grid.ik
-        self.to_m = 1.0 + grid.k**2
         # masked symbol of (1-dx^2)^{-1} dx(2+dx) = (2 dx + dx^2)/(1 - dx^2);
         # Nyquist keeps only the even part
         self.lift = self.mask * (2.0 * grid.ik - grid.k**2) * grid.helm
@@ -126,15 +126,12 @@ def rhs_u_form(u: RealField) -> RealField:
 @dataclass
 class SolverConfig:
     T: float
-    rhs_form: str = "spectral_form"
     dt: float | None = None  # None -> CFL policy
     cfl_sigma: float = 0.3
     monitor_every: int = 10
     tail_threshold: float = 1e-3
 
     def __post_init__(self):
-        if self.rhs_form not in RHS_FORMS:
-            raise ConfigError(f"rhs_form must be one of {RHS_FORMS}, got {self.rhs_form!r}")
         if self.T <= 0:
             raise ConfigError(f"horizon must be positive, got T={self.T}")
         if self.dt is not None and self.dt <= 0:
@@ -198,32 +195,23 @@ def spectral_tail_fraction(grid: Grid1D, ch: np.ndarray) -> float:
 def step(
     grid: Grid1D, ch: np.ndarray, cfg: SolverConfig, t_left: float
 ) -> tuple[np.ndarray, float]:
-    """One RK4 step of the configured form on the coefficients ch = spectrum(u).
+    """One RK4 step of the spectral form on the coefficients ch = spectrum(u).
 
     The first stage does not depend on dt, so it runs first: without a
     fixed cfg.dt, the CFL step comes from its w.  dt is then capped at
     t_left, the time left to the horizon.  Returns the coefficients of
     u(t + dt), and dt.
     """
-    kern = _kernel(grid)
-    if cfg.rhs_form == "m_form":
-        state = ch * kern.to_m
-        rhs = kern.rhs_m
-    else:
-        state = ch
-        rhs = kern.rhs_spectral if cfg.rhs_form == "spectral_form" else kern.rhs_u
-    k1, w = rhs(state)
+    rhs = _kernel(grid).rhs_spectral
+    k1, w = rhs(ch)
     dt = cfg.dt if cfg.dt is not None else _cfl_dt(cfg, grid, w)
     if dt < DT_COLLAPSE:
         raise DivergedError(f"CFL collapse: dt={dt:.3e}")
     dt = min(dt, t_left)
-    k2 = rhs(state + 0.5 * dt * k1)[0]
-    k3 = rhs(state + 0.5 * dt * k2)[0]
-    k4 = rhs(state + dt * k3)[0]
-    new = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if cfg.rhs_form == "m_form":
-        new *= grid.helm
-    return new, dt
+    k2 = rhs(ch + 0.5 * dt * k1)[0]
+    k3 = rhs(ch + 0.5 * dt * k2)[0]
+    k4 = rhs(ch + dt * k3)[0]
+    return ch + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), dt
 
 
 @dataclass
@@ -295,7 +283,8 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
 
     Stops early with stop_reason "resolution_stop" when the spectral tail
     fraction crosses cfg.tail_threshold, or "nonfinite" if the state, or
-    the energy recorded from it, blows past floating point.
+    the energy recorded from it, blows past floating point.  Raises
+    DivergedError when MAX_STEPS steps leave the horizon unreached.
     """
     check_domain_decay(u0)
     g = u0.grid
@@ -337,9 +326,13 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
     record(t, ch)
     steps = 0
     while t < cfg.T * (1.0 - 1e-12):
+        if steps == MAX_STEPS:
+            raise DivergedError(f"step budget exhausted at t={t:.6g}")
         ch, dt = step(g, ch, cfg, cfg.T - t)
-        t += dt
         steps += 1
+        # a fixed step reads the time as steps * dt, one rounding, so the
+        # last planned step lands on T; a sum of dt can fall short of it
+        t = t + dt if cfg.dt is None else min(steps * cfg.dt, cfg.T)
         if not np.all(np.isfinite(ch)):
             rep.stop_reason = "nonfinite"
             break
@@ -352,8 +345,6 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
             if rep.tail_frac[-1] > cfg.tail_threshold:
                 rep.stop_reason = "resolution_stop"
                 break
-        if steps >= MAX_STEPS:
-            raise DivergedError(f"step budget exhausted at t={t:.6g}")
     rep.steps_taken = steps
     rep.final = RealField(g, synthesize(ch))
     return rep

@@ -15,7 +15,9 @@ ML, MR, MT, MB = 64, 16, 34, 46
 
 
 def _ticks_125(lo: float, hi: float, target: int = 6) -> list[float]:
-    if hi <= lo:
+    # an empty span, or one whose step is too small to move a tick past lo
+    # or hi (it may underflow to 0): the ticks of the unit span stand in
+    if not (hi - lo) / target > math.ulp(max(abs(lo), abs(hi))):
         hi = lo + 1.0
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))

@@ -130,7 +130,7 @@ def picard_lab():
         "picard_direct",
         evolve(
             helmholtz_inverse(m0),
-            SolverConfig(T=T, rhs_form="m_form", dt=T / 400.0, monitor_every=10**9),
+            SolverConfig(T=T, dt=T / 400.0, monitor_every=10**9),
         ),
     )
     m_direct = apply_one_minus_dxx(direct.final)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gchlab import dynamics, fields
-from gchlab.config import RHS_FORMS
 from gchlab.dynamics import (
     SPEED_FLOOR,
     RunReport,
@@ -48,11 +47,32 @@ def step_data(n):
     return peakon_field(Grid1D(40.0, n), 0.0, 2.0)
 
 
+# step integrates the spectral form; the other two are right-hand sides
+# that the tests compare with it
+FORMS = ("spectral_form", "m_form", "u_form")
 PHYSICAL_RHS = {
     "spectral_form": rhs_spectral_form,
     "m_form": rhs_m_form,
     "u_form": rhs_u_form,
 }
+KERNEL_RHS = {
+    "spectral_form": dynamics._Kernel.rhs_spectral,
+    "m_form": dynamics._Kernel.rhs_m,
+    "u_form": dynamics._Kernel.rhs_u,
+}
+
+
+def grid_rk4(rhs, g, v, dt):
+    """One classical RK4 step on grid values through a physical rhs wrapper."""
+
+    def f(w):
+        return rhs(RealField(g, w)).values
+
+    k1 = f(v)
+    k2 = f(v + 0.5 * dt * k1)
+    k3 = f(v + 0.5 * dt * k2)
+    k4 = f(v + dt * k3)
+    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class TestRhsForms:
@@ -91,56 +111,52 @@ class TestRhsForms:
             assert np.max(np.abs(src[i] - s1)) <= 1e-14 * np.max(np.abs(s1))
 
     def test_m_form_step_matches_spectral_step(self):
-        # the state map u -> m is linear, so RK4 commutes with it exactly
+        # the state map u -> m is linear, so RK4 commutes with it: the
+        # spectral step equals grid RK4 of the momentum form in m = (1-dx^2)u
         g = Grid1D(40.0, 256)
         u0 = gaussian(g)
         dt = 1e-3
-        ch = spectrum(u0.values)
-        a, _ = step(g, ch, SolverConfig(T=1.0, rhs_form="spectral_form", dt=dt), math.inf)
-        b, _ = step(g, ch, SolverConfig(T=1.0, rhs_form="m_form", dt=dt), math.inf)
-        gap = np.max(np.abs(synthesize(a) - synthesize(b)))
+        m_new = grid_rk4(rhs_m_form, g, apply_one_minus_dxx(u0).values, dt)
+        a, _ = step(g, spectrum(u0.values), SolverConfig(T=1.0, dt=dt), math.inf)
+        gap = np.max(np.abs(synthesize(a) - helmholtz_inverse(RealField(g, m_new)).values))
         assert gap < 1e-11
-
-    def test_rejects_unknown_form(self):
-        with pytest.raises(ConfigError):
-            SolverConfig(T=1.0, rhs_form="weak_form")
 
 
 class TestCoefficientStep:
     @pytest.mark.parametrize("n", [256, 1024])
-    @pytest.mark.parametrize("form", RHS_FORMS)
+    @pytest.mark.parametrize("form", FORMS)
     def test_step_matches_physical_rk4(self, form, n):
-        # the oracle: classical RK4 on grid values through the physical
-        # wrappers, in m = (1 - dx^2)u for the momentum form
-        u0 = step_data(n)
+        # the oracle: classical RK4 on grid values through each form's
+        # physical wrapper, in m = (1 - dx^2)u for the momentum form.  The
+        # forms are equal on resolved data, so the other two forms' oracles
+        # take the smooth field at both n; on the peaked wave they part by
+        # their aliasing (about 2e-9 at n = 1024)
+        u0 = step_data(n) if form == "spectral_form" else gaussian(Grid1D(40.0, n))
         g = u0.grid
         dt = 1e-3
         start = apply_one_minus_dxx(u0).values if form == "m_form" else u0.values
-
-        def f(v):
-            return PHYSICAL_RHS[form](RealField(g, v)).values
-
-        k1 = f(start)
-        k2 = f(start + 0.5 * dt * k1)
-        k3 = f(start + 0.5 * dt * k2)
-        k4 = f(start + dt * k3)
-        oracle = start + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        oracle = grid_rk4(PHYSICAL_RHS[form], g, start, dt)
         if form == "m_form":
             oracle = helmholtz_inverse(RealField(g, oracle)).values
-        cfg = SolverConfig(T=1.0, rhs_form=form, dt=dt)
+        cfg = SolverConfig(T=1.0, dt=dt)
         new, taken = step(g, spectrum(u0.values), cfg, math.inf)
         assert taken == dt
         gap = np.max(np.abs(synthesize(new) - oracle))
         assert gap <= 1e-12 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("n", [256, 1024])
-    @pytest.mark.parametrize("form", RHS_FORMS)
+    @pytest.mark.parametrize("form", FORMS)
     def test_cfl_dt_from_first_stage(self, form, n):
+        # every form's kernel returns the same w = 2u - u_x with its rhs;
+        # the step's CFL speed is |2w| from the first stage
         u0 = step_data(n)
         g = u0.grid
         speed = np.max(np.abs(4.0 * u0.values - 2.0 * derivative(u0, 1).values))
         assert speed > SPEED_FLOOR
-        cfg = SolverConfig(T=1.0, rhs_form=form)
+        state = apply_one_minus_dxx(u0) if form == "m_form" else u0
+        _, w = KERNEL_RHS[form](dynamics._kernel(g), spectrum(state.values))
+        assert np.max(np.abs(2.0 * w)) == pytest.approx(speed, rel=1e-13)
+        cfg = SolverConfig(T=1.0)
         want = cfg.cfl_sigma * g.dx / max(speed, SPEED_FLOOR)
         ch = spectrum(u0.values)
         _, dt = step(g, ch, cfg, math.inf)
@@ -177,6 +193,8 @@ class TestTransformBudget:
             monkeypatch.setattr(dynamics, name, forbidden, raising=False)
         return counts
 
+    # the four rhs stages of one RK4 step: step makes them in the spectral
+    # form; c03 and the three-form tests evaluate the other two kernels
     @pytest.mark.parametrize(
         "form, budget",
         [
@@ -187,8 +205,15 @@ class TestTransformBudget:
     )
     def test_step_budget(self, calls, form, budget):
         u0 = step_data(256)
+        g = u0.grid
         ch = fields.spectrum(u0.values)
-        step(u0.grid, ch, SolverConfig(T=1.0, rhs_form=form), math.inf)
+        if form == "spectral_form":
+            step(g, ch, SolverConfig(T=1.0), math.inf)
+        else:
+            # m = (1 - dx^2)u in coefficients, with no counted transform
+            state = ch / g.helm if form == "m_form" else ch
+            for _ in range(4):
+                KERNEL_RHS[form](dynamics._kernel(g), state)
         assert calls == budget
 
     def test_record_makes_one_synthesis(self, calls):
@@ -207,13 +232,12 @@ class TestTransformBudget:
 
 class TestNonfiniteStop:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("form", RHS_FORMS)
-    def test_overflow_stops_cleanly(self, form):
+    def test_overflow_stops_cleanly(self):
         # a tall bump with a huge fixed step leaves floating point in a few
         # steps; a tail threshold above 1 never stops the run first
         g = Grid1D(40.0, 256)
         u0 = gaussian(g, A=5.0, width=1.0)
-        cfg = SolverConfig(T=2.0, rhs_form=form, dt=0.5, tail_threshold=2.0)
+        cfg = SolverConfig(T=2.0, dt=0.5, tail_threshold=2.0)
         rep = evolve(u0, cfg)
         assert rep.stop_reason == "nonfinite"
         assert not np.all(np.isfinite(rep.final.values))
@@ -267,6 +291,35 @@ class TestIntegrator:
         cfg = SolverConfig(T=1.0, dt=1e-13)
         with pytest.raises(DivergedError):
             evolve(gaussian(g), cfg)
+
+    # the step budget scaled down as the completion property scales it
+    @pytest.mark.parametrize("planned", [256, 256.5])
+    def test_step_budget_fires_only_before_the_horizon(self, monkeypatch, planned):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 256)
+        g = Grid1D(40.0, 128)
+        cfg = SolverConfig(T=0.05, dt=0.05 / planned)
+        if planned == 256:
+            assert evolve(gaussian(g), cfg).steps_taken == 256
+        else:  # 257 steps
+            with pytest.raises(DivergedError, match="step budget exhausted"):
+                evolve(gaussian(g), cfg)
+
+    def test_last_planned_step_reaches_the_horizon(self, monkeypatch):
+        # 2^16 steps of 0.003, summed one by one, fall short of their
+        # product by 1.6e-12 of it, more than the horizon's tolerance
+        n_steps, dt = 2**16, 0.003
+        t = 0.0
+        for _ in range(n_steps):
+            t += dt
+        assert t < n_steps * dt * (1.0 - 1e-12)
+        # only the time keeping is under test, so the step leaves the state
+        monkeypatch.setattr(dynamics, "MAX_STEPS", n_steps)
+        monkeypatch.setattr(dynamics, "step", lambda g, ch, cfg, t_left: (ch, min(dt, t_left)))
+        g = Grid1D(40.0, 16)
+        cfg = SolverConfig(T=n_steps * dt, dt=dt, monitor_every=10**9)
+        rep = evolve(RealField(g, np.zeros(g.n)), cfg)
+        assert (rep.stop_reason, rep.steps_taken) == ("horizon", n_steps)
+        assert rep.times[-1] == cfg.T
 
     def test_wrapping_data_rejected(self):
         g = Grid1D(40.0, 256)

@@ -362,7 +362,7 @@ class TestPicard:
         final_picard = rep.final_frame
 
         u0 = helmholtz_inverse(m0)
-        cfg = SolverConfig(T=T, rhs_form="m_form", dt=T / 400.0, monitor_every=10**9)
+        cfg = SolverConfig(T=T, dt=T / 400.0, monitor_every=10**9)
         run = evolve(u0, cfg)
         m_direct = synthesize(spectrum(run.final.values) * (1.0 + g.k**2))
         gap = lp_norm(RealField(g, final_picard - m_direct), 2.0)
