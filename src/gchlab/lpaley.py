@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .config import AUDIT_IDS
+from .config import AUDIT_IDS, top_block
 from .errors import ConfigError, EstimationError
 from .fields import (
     Grid1D,
@@ -86,7 +86,7 @@ class DyadicPartition:
 def build_partition(grid: Grid1D) -> DyadicPartition:
     absk = np.abs(grid.k)
     kny = grid.nyquist
-    j_max = int(math.floor(math.log2(kny / 0.75)))
+    j_max = top_block(kny)
     if j_max < 1:
         raise ConfigError(f"grid too coarse for a dyadic partition (k_nyq={kny:.3g})")
     # chi_b(|k| / 2^j) for j = 0..j_max; shared values make telescoping exact

@@ -24,6 +24,7 @@ solution must vanish under mesh refinement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,11 @@ class TestFunction:
     def __init__(self, x0: float, sigma: float, poly=(1.0, 0.0, 0.0, 0.0)):
         if sigma <= 0:
             raise ConfigError(f"sigma must be positive, got {sigma}")
+        # phi_xx = P b''/sigma^2 with |b''| < 8; the weak integrand adds such
+        # terms and the trapezoid rule adds neighbours, so 64/sigma^2 must be
+        # a double (sigma above about 6e-154)
+        if not 64.0 / sigma / sigma < math.inf:
+            raise ConfigError(f"sigma = {sigma!r} is too small: b''/sigma^2 overflows")
         if len(poly) != 4:
             raise ConfigError("poly must have exactly four cubic coefficients")
         self.x0 = x0

@@ -21,7 +21,6 @@ from gchlab import config, experiments
 from gchlab.cli import main
 from gchlab.config import (
     KINDS,
-    RANGES,
     SCHEMAS,
     canonical_echo,
     default_config,
@@ -175,8 +174,18 @@ def _document(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ranges(kind: str) -> list:
+    """(section, key, test) of each key of `kind` with a load-time range."""
+    return [
+        (sec, key, spec[2])
+        for sec, keys in SCHEMAS[kind].items()
+        for key, spec in keys.items()
+        if len(spec) == 4
+    ]
+
+
 def _in_range(cfg: dict, kind: str) -> bool:
-    return all(ok(cfg[sec][key], cfg) for sec, key, ok, _ in RANGES[kind])
+    return all(ok(cfg[sec][key], cfg) for sec, key, ok in _ranges(kind))
 
 
 @st.composite
@@ -186,10 +195,10 @@ def in_range_configs(draw, kind):
     schema = SCHEMAS[kind]
     cfg = default_config(kind)
     for sec, keys in schema.items():
-        for key, (ty, _) in keys.items():
+        for key, (ty, *_) in keys.items():
             if draw(st.booleans()):
                 cfg[sec][key] = draw(VALUES[ty])
-    for sec, key, ok, _ in RANGES[kind]:
+    for sec, key, ok in _ranges(kind):
         if not ok(cfg[sec][key], cfg):
             cfg[sec][key] = schema[sec][key][1]
     # a default can still clash with a drawn key it depends on
@@ -199,10 +208,29 @@ def in_range_configs(draw, kind):
 
 NUMERIC_RANGES = [
     pytest.param(kind, sec, key, id=f"{kind}-{sec}.{key}")
-    for kind, entries in RANGES.items()
-    for sec, key, _, _ in entries
+    for kind in KINDS
+    for sec, key, _ in _ranges(kind)
     if SCHEMAS[kind][sec][key][0] in ("int", "float")
 ]
+
+
+def _key_table(kind: str) -> str:
+    """README's table of the keys of `kind`, written from SCHEMAS."""
+    rows = [f"### `{kind}`", "", "| key | type | default | demand |", "|---|---|---|---|"]
+    for sec, keys in SCHEMAS[kind].items():
+        for key, (ty, default, *rule) in keys.items():
+            need = "`" + rule[1].replace("|", "\\|") + "`" if rule else ""
+            rows.append(f"| `[{sec}] {key}` | {ty} | `{_text(default)}` | {need} |")
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_readme_key_table_matches_the_schema(kind):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    table = _key_table(kind)
+    assert table in text, f"README.md needs this table:\n{table}"
 
 
 class TestGrammarProperties:
@@ -501,6 +529,9 @@ class TestCli:
             ("simulate", "[grid]\nL = 5e-324\nn = 512\n"),
             ("besov-audit", "[grid]\nL = 5e-324\nn = 512\n"),
             ("simulate", "[grid]\nL = 1e308\nn = 512\n"),
+            # pi (n/2) / L is finite, but Grid1D's last wavenumber
+            # 2 pi rfftfreq(n, dx) rounds up to inf
+            ("simulate", "[grid]\nL = 1.1184441100129471e-306\nn = 128\n"),
             # numpy's default_rng rejects a negative seed with a traceback
             ("simulate", "[data]\nseed = -1\n"),
             ("picard", "[data]\nseed = -1\n"),
@@ -798,6 +829,22 @@ class TestRunContract:
         assert "Traceback" not in err
         rep = json.loads((out / "report.json").read_text())
         assert list(rep) == ["kind", "error", "passed"] and rep["passed"] is False
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", ["5e-324", "1e-155"])
+    def test_tiny_sigma_fails_with_its_cause(self, tmp_path, capsys, sigma):
+        # the test function's second derivative b''/sigma^2 overflows, and
+        # every residual came out NaN under a plain FAIL
+        text = EDGE_BASE["peakon-verify"] + f"sigma = {sigma}\n"
+        path = write(tmp_path, "s.cfg", text)
+        out = tmp_path / "o"
+        assert main(["peakon-verify", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"run failed: sigma = {sigma} is too small" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        rep = json.loads((out / "report.json").read_text())
+        assert list(rep) == ["kind", "error", "passed"] and rep["passed"] is False
+        assert f"sigma = {sigma}" in rep["error"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_picard_fails_cleanly(self, tmp_path, capsys):
