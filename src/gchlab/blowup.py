@@ -38,7 +38,6 @@ RICCATI_STOP = 1e8
 
 @dataclass
 class CTReport:
-    T: float
     h1: float
     h32: float
     C_T: float
@@ -51,7 +50,7 @@ def compute_CT(u0: RealField, T: float) -> CTReport:
     h1 = sobolev_norm(u0, 1.0)
     h32 = sobolev_norm(u0, 1.5)
     bracket = 54.0 * T * h1 * h1 + 6.0 * h32
-    return CTReport(T, h1, h32, 4.0 * bracket, 2.0 * math.sqrt(2.0) * bracket)
+    return CTReport(h1, h32, 4.0 * bracket, 2.0 * math.sqrt(2.0) * bracket)
 
 
 @dataclass
@@ -110,7 +109,6 @@ def riccati_bound_time(w0: float, C: float) -> float:
 
 @dataclass
 class RiccatiTrajectory:
-    times: np.ndarray
     w: np.ndarray
     divergence_time: float
 
@@ -130,7 +128,6 @@ def riccati_solve(w0: float, C: float) -> RiccatiTrajectory:
     def f(w: float) -> float:
         return C * C - w * w
 
-    ts = [0.0]
     ws = [w0]
     t, w = 0.0, w0
     while abs(w) < RICCATI_STOP:
@@ -144,16 +141,14 @@ def riccati_solve(w0: float, C: float) -> RiccatiTrajectory:
             raise EstimationError("comparison solution failed monotonicity")
         t += dt
         w = w_new
-        ts.append(t)
         ws.append(w)
-    return RiccatiTrajectory(np.array(ts), np.array(ws), t + 1.0 / abs(w))
+    return RiccatiTrajectory(np.array(ws), t + 1.0 / abs(w))
 
 
 @dataclass
 class BlowupEstimate:
     T_est: float
     slope: float
-    intercept: float
     window: int
     residual_rms: float
 
@@ -186,18 +181,13 @@ def estimate_blowup_time(
     T_est = -a / b
     if T_est <= t[-1]:
         raise EstimationError("extrapolated time does not exceed the window")
-    return BlowupEstimate(
-        float(T_est), float(b), float(a), window, float(np.sqrt(np.mean(resid**2)))
-    )
+    return BlowupEstimate(float(T_est), float(b), window, float(np.sqrt(np.mean(resid**2))))
 
 
 @dataclass
 class RateReport:
-    T_est: float
-    window_times: np.ndarray
     curvature_products: np.ndarray
     window_mean: float
-    slope_products: np.ndarray
     slope_product_trend: float  # LSQ slope; negative = decreasing magnitude
     companion_vanishes: bool
 
@@ -218,21 +208,11 @@ def rate_report(times, curvature_min, slope_min, est: BlowupEstimate) -> RateRep
     cprod = cm * gap
     sprod = np.abs(sm * gap)
     trend = float(np.polyfit(t, sprod, 1)[0])
-    return RateReport(
-        est.T_est,
-        t,
-        cprod,
-        float(np.mean(cprod)),
-        sprod,
-        trend,
-        trend < 0.0,
-    )
+    return RateReport(cprod, float(np.mean(cprod)), trend, trend < 0.0)
 
 
 @dataclass
 class AccumulatorShape:
-    early_slope: float
-    late_slope: float
     growth_factor: float
 
 
@@ -248,4 +228,4 @@ def accumulator_shape(times, B) -> AccumulatorShape:
     late = (b[-1] - b[-1 - n3]) / (t[-1] - t[-1 - n3])
     if early <= 0:
         raise EstimationError("accumulator not increasing on the early window")
-    return AccumulatorShape(float(early), float(late), float(late / early))
+    return AccumulatorShape(float(late / early))

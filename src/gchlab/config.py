@@ -147,7 +147,12 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "amplitude": ("float", 1.0),
             "width": ("float", 1.0, lambda v, _: v > 0, "> 0"),
             "center": ("float", 0.0),
-            "speed": ("float", 1.0),
+            "speed": (
+                "float",
+                1.0,
+                lambda v, cfg: v > 0 or cfg["data"]["kind"] != "peakon",
+                "> 0 when [data] kind is peakon",
+            ),
             "decay": ("float", 2.0),
             "seed": ("int", 0, lambda v, _: v >= 0, ">= 0"),
         },
@@ -170,7 +175,13 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
                 and v + cfg["residual"]["sigma"] <= cfg["grid"]["L"],
                 "at least [residual] sigma inside [-L, L]",
             ),
-            "sigma": ("float", 1.5, lambda v, _: v > 0, "> 0"),
+            # a collapsed support puts every quadrature node on x0
+            "sigma": (
+                "float",
+                1.5,
+                lambda v, cfg: (x0 := cfg["residual"]["x0"]) - v < x0 < x0 + v,
+                "x0 - sigma < x0 < x0 + sigma (so > 0): the support must not collapse onto x0",
+            ),
             "nx0": ("int", 32, lambda v, _: v >= 4, ">= 4 (quadrature cells)"),
             "nt0": ("int", 32, lambda v, _: v >= 4, ">= 4 (quadrature cells)"),
             # an order fit needs two levels, and the finest rung of the ladder

@@ -351,7 +351,7 @@ def run_besov_audit(cfg: dict, grid: Grid1D) -> Outcome:
         chart.add(r.audit_id, range(len(r.ratios)), r.ratios)
     rows = ((r.audit_id, i, float(x)) for r in reports for i, x in enumerate(r.ratios))
     return Outcome(
-        {"audits": [r.to_json() for r in reports]},
+        {"audits": [dataclasses.asdict(r) for r in reports]},
         all(r.passed for r in reports),
         {"series.csv": _csv("audit,sample,ratio", rows)},
         chart,

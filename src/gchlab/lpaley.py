@@ -110,19 +110,19 @@ def partition_for(grid: Grid1D) -> DyadicPartition:
     return _partition_cache[key]
 
 
-def dyadic_block(f: RealField, j: int, part: DyadicPartition | None = None) -> RealField:
+def dyadic_block(f: RealField, j: int) -> RealField:
     """Delta_j f; j < -1 returns the zero field, j > j_max is empty too."""
-    part = part or partition_for(f.grid)
+    part = partition_for(f.grid)
     if j < -1 or j > part.j_max:
         return RealField(f.grid, np.zeros(f.grid.n))
     return RealField(f.grid, synthesize(spectrum(f.values) * part.mult(j)))
 
 
-def low_cutoff(f: RealField, j: int, part: DyadicPartition | None = None) -> RealField:
+def low_cutoff(f: RealField, j: int) -> RealField:
     """S_j f = sum_{j' <= j-1} Delta_{j'} f; S_0 f is the low block alone."""
     if j < 0:
         raise ConfigError(f"low cutoff index must be >= 0, got {j}")
-    part = part or partition_for(f.grid)
+    part = partition_for(f.grid)
     top = min(j - 1, part.j_max)
     m = part.multipliers[: top + 2].sum(axis=0)
     return RealField(f.grid, synthesize(spectrum(f.values) * m))
@@ -133,16 +133,10 @@ def _validate_params(s: float, p: float, r: float) -> None:
         raise ConfigError(f"Besov indices need p, r >= 1, got p={p}, r={r}")
 
 
-def besov_norm(
-    f: RealField,
-    s: float,
-    p: float = 2.0,
-    r: float = 2.0,
-    part: DyadicPartition | None = None,
-) -> float:
+def besov_norm(f: RealField, s: float, p: float = 2.0, r: float = 2.0) -> float:
     """(sum_j 2^{jsr} ||Delta_j f||_p^r)^{1/r}, sup over j when r = inf."""
     _validate_params(s, p, r)
-    part = part or partition_for(f.grid)
+    part = partition_for(f.grid)
     return float(_besov_sum(_block_norms(f.grid, spectrum(f.values), p, part), s, r))
 
 
@@ -174,8 +168,8 @@ def _besov_sum(block_norms: np.ndarray, s: float, r: float = 2.0) -> np.ndarray:
 
 
 def reconstruct(blocks: list[RealField]) -> RealField:
-    """Sum dyadic blocks, as dyadic_block gives them over part.blocks, back
-    into one field."""
+    """Sum dyadic blocks, as dyadic_block gives them over the grid's
+    partition blocks, back into one field."""
     if not blocks:
         raise ConfigError("nothing to reconstruct")
     total = np.zeros(blocks[0].grid.n)
@@ -200,17 +194,6 @@ class AuditReport:
     refinement_ratio: float
     hard_ok: bool
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "audit_id": self.audit_id,
-            "params": self.params,
-            "ratios": [float(r) for r in self.ratios],
-            "fitted_constant": float(self.fitted_constant),
-            "refinement_ratio": float(self.refinement_ratio),
-            "hard_ok": self.hard_ok,
-            "passed": self.passed,
-        }
 
 
 # fitted constants must be reproducible under one dyadic grid refinement

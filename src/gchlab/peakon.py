@@ -111,8 +111,10 @@ class TestFunction:
     __test__ = False  # keep pytest from collecting the class by its name
 
     def __init__(self, x0: float, sigma: float, poly=(1.0, 0.0, 0.0, 0.0)):
-        if sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {sigma}")
+        # x0 - sigma < x0 < x0 + sigma asks sigma > 0, and that the support
+        # does not collapse onto x0, where every quadrature node would sit
+        if not x0 - sigma < x0 < x0 + sigma:
+            raise ConfigError(f"sigma = {sigma!r} leaves no support around x0 = {x0!r}")
         # phi_xx = P b''/sigma^2 with |b''| < 8; the weak integrand adds such
         # terms and the trapezoid rule adds neighbours, so 64/sigma^2 must be
         # a double (sigma above about 6e-154)

@@ -12,14 +12,15 @@ PALETTE = ("#1f6f8b", "#c1553c", "#5a8f3d", "#7b5ea7", "#b08c2e", "#3f3f3f")
 
 WIDTH, HEIGHT = 720, 440
 ML, MR, MT, MB = 64, 16, 34, 46
+TICK_TARGET = 6  # about this many ticks per axis
 
 
-def _ticks_125(lo: float, hi: float, target: int = 6) -> list[float]:
+def _ticks_125(lo: float, hi: float) -> list[float]:
     # an empty span, or one whose step is too small to move a tick past lo
     # or hi (it may underflow to 0): the ticks of the unit span stand in
-    if not (hi - lo) / target > math.ulp(max(abs(lo), abs(hi))):
+    if not (hi - lo) / TICK_TARGET > math.ulp(max(abs(lo), abs(hi))):
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / TICK_TARGET
     mag = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 5.0, 10.0):
         if raw <= m * mag:

@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import momentum_coefficients
 from .errors import ConfigError, EstimationError
 from .fields import Grid1D, RealField, spectrum
-from .lpaley import besov_norm, low_cutoff, partition_for
+from .lpaley import besov_norm, low_cutoff
 
 
 def _cubic_table(values: np.ndarray) -> np.ndarray:
@@ -277,18 +277,14 @@ def transport_apriori_audit(
     each dt run solves and takes the nine frame norms.
     """
     g = f0.grid
-    part = partition_for(g)
     out_times = np.linspace(0.0, T, 9)
     vnorm = np.array(
-        [
-            besov_norm(RealField(g, np.asarray(velocity(t, g.x))), s + 2.0, 2.0, 2.0, part)
-            for t in out_times
-        ]
+        [besov_norm(RealField(g, np.asarray(velocity(t, g.x))), s + 2.0) for t in out_times]
     )
     V = np.concatenate(
         [[0.0], np.cumsum(0.5 * np.diff(out_times) * (vnorm[1:] + vnorm[:-1]))]
     )
-    a0 = besov_norm(f0, s, 2.0, 2.0, part)
+    a0 = besov_norm(f0, s)
     # an overflowed norm leaves no growth bound to fit, and an infinite V(T)
     # would start the bracket below at C = 0, where doubling never ends
     _require_finite(f"V(T), the time integral of ||v||_B^{s + 2:g}", V[-1])
@@ -296,9 +292,7 @@ def transport_apriori_audit(
 
     def fit(dt_run: float) -> tuple[np.ndarray, float]:
         sol = solve_transport(f0, velocity, dt_run, out_times)
-        lhs = np.array(
-            [besov_norm(RealField(g, fr), s, 2.0, 2.0, part) for fr in sol.frames]
-        )
+        lhs = np.array([besov_norm(RealField(g, fr), s) for fr in sol.frames])
         _require_finite(f"a frame norm ||f(t)||_B^{s:g}", *lhs)
 
         def ok(C: float) -> bool:
@@ -405,19 +399,18 @@ def picard_run(
     if n_iter < 2:
         raise ConfigError("need at least two iterations to measure a distance")
     g = m0.grid
-    part = partition_for(g)
     times = np.linspace(0.0, T, n_slices)
     interval = times[1] - times[0]
     cap = max(1, round(200 / (n_slices - 1)))
 
-    m0_norm = besov_norm(m0, s - 1.0, 2.0, 2.0, part)
+    m0_norm = besov_norm(m0, s - 1.0)
     _require_finite(f"||m0||_B^{s - 1.0:g}", m0_norm)
     prev = TimeSlices(g, times, np.tile(m0.values, (len(times), 1)))
     d: list[float] = []
     sups: list[float] = [m0_norm]
     for it in range(1, n_iter + 1):
         vel, src = momentum_coefficients(g, prev.frames, spectrum(prev.frames))
-        f0 = low_cutoff(m0, it, part)
+        f0 = low_cutoff(m0, it)
         velocity, source = TimeSlices(g, times, vel), TimeSlices(g, times, src)
         if it == 1:
             k, step_estimate = _steps_by_doubling(
@@ -426,18 +419,13 @@ def picard_run(
         cur = solve_transport(f0, velocity, interval / k, times, source)
         del velocity, source  # their tables go before the next iteration's
         dists = [
-            besov_norm(RealField(g, cur.frames[i] - prev.frames[i]), s - 1.0, 2.0, 2.0, part)
+            besov_norm(RealField(g, cur.frames[i] - prev.frames[i]), s - 1.0)
             for i in range(len(times))
         ]
         # max() passes over a NaN that is not first, so check every slice
         _require_finite(f"the distance d_{it} in B^{s - 1.0:g}", *dists)
         d.append(max(dists))
-        sups.append(
-            max(
-                besov_norm(RealField(g, fr), s - 1.0, 2.0, 2.0, part)
-                for fr in cur.frames
-            )
-        )
+        sups.append(max(besov_norm(RealField(g, fr), s - 1.0) for fr in cur.frames))
         prev = cur
     ratios = [d[i + 1] / d[i] if d[i] > 0 else 0.0 for i in range(len(d) - 1)]
 

@@ -153,7 +153,7 @@ class TestRate:
         t = np.linspace(0.0, 0.98 * T, 200)
         cm = -0.5 / (T - t)
         sm = -3.0 - t  # bounded slope minimum
-        est = BlowupEstimate(T, 0.0, 0.0, 20, 0.0)
+        est = BlowupEstimate(T, 0.0, 20, 0.0)
         rep = rate_report(t, cm, sm, est)
         assert rep.window_mean == pytest.approx(-0.5, rel=1e-12)
         assert np.all(np.abs(rep.curvature_products + 0.5) < 1e-10)
@@ -161,11 +161,11 @@ class TestRate:
         assert rep.slope_product_trend < 0
 
     def test_window_validation(self):
-        est = BlowupEstimate(1.0, 0.0, 0.0, 2, 0.0)
+        est = BlowupEstimate(1.0, 0.0, 2, 0.0)
         t = np.linspace(0.0, 0.5, 10)
         with pytest.raises(ConfigError):
             rate_report(t, -1.0 / (1.0 - t), np.zeros(10), est)
-        bad = BlowupEstimate(0.3, 0.0, 0.0, 5, 0.0)
+        bad = BlowupEstimate(0.3, 0.0, 5, 0.0)
         with pytest.raises(EstimationError):
             rate_report(t, -1.0 / (1.0 - t), np.zeros(10), bad)
 

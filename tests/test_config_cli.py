@@ -288,6 +288,10 @@ EDGE_BASE = {
     "besov-audit": "[grid]\nn = 64\n[corpus]\ncount = 2\n",
     "transport-test": "[grid]\nn = 64\n[run]\nlevels = 2\n",
 }
+# a range that bites only beside another key's value gets a base that sets it
+EDGE_BASE_FOR = {
+    ("simulate", "data", "speed"): EDGE_BASE["simulate"] + 'kind = "peakon"\n',
+}
 # The code each edge's process runs: stdout is dropped, and stderr, from
 # Python and from C alike, goes to a file the test reads.
 EDGE_PROBE = """
@@ -379,7 +383,7 @@ class TestCompletion:
     ):
         monkeypatch.setattr(config, "MAX_STEPS", EDGE_STEPS)
         monkeypatch.setattr(config, "MAX_NODES", EDGE_NODES)
-        base = parse_config(EDGE_BASE[kind], kind)
+        base = parse_config(EDGE_BASE_FOR.get((kind, sec, key), EDGE_BASE[kind]), kind)
         edges = _edges(kind, base, sec, key)
         assert edges, "a range with no edge rejects nothing"
         for i, v in enumerate(edges):
@@ -512,6 +516,13 @@ class TestCli:
             ("transport-test", "[audit]\ndt = 1e-300\n"),
             ("simulate", "[run]\ndt = 1e-300\n"),
             ("peakon-verify", "[residual]\nsigma = 0.0\n"),
+            # x0 +- sigma rounds to x0 = 0.5: every residual was 0.0 under a
+            # plain FAIL
+            ("peakon-verify", "[grid]\nn = 64\n[residual]\nlevels = 2\nsigma = 1e-17\n"),
+            ("peakon-verify", "[residual]\nsigma = 6e-154\n"),
+            # a peakon needs a positive speed; this failed at run time
+            ("simulate", '[grid]\nn = 256\n[data]\nkind = "peakon"\nspeed = -1.0\n'),
+            ("simulate", '[grid]\nn = 256\n[data]\nkind = "peakon"\nspeed = 0.0\n'),
             ("peakon-verify", "[residual]\nnt0 = 2\n"),
             ("peakon-verify", "[residual]\nnx0 = 2\n"),
             # the test function's support [37.5, 40.5] leaves [-40, 40)
@@ -660,6 +671,9 @@ class TestCli:
         assert cfg["audits"]["which"] == "morse, embedding"
         cfg = parse_config('[sweep]\namplitudes = " 0.3, 0.1 ,"\n', "blowup-study")
         assert cfg["sweep"]["amplitudes"] == " 0.3, 0.1 ,"
+        # only a peakon datum needs a positive speed
+        cfg = parse_config('[data]\nkind = "gaussian"\nspeed = -1.0\n', "simulate")
+        assert cfg["data"]["speed"] == -1.0
         # the support [x0 - sigma, x0 + sigma] may touch either end of the box
         for x0 in (38.5, -38.5):
             text = f"[residual]\nx0 = {x0}\nsigma = 1.5\nnx0 = 4\nnt0 = 4\n"
@@ -686,6 +700,16 @@ class TestCli:
         # 2^(2 * 85 * 6), stay finite on the default grids
         assert parse_config("[audit]\ns = 61.0\n", "transport-test")["audit"]["s"] == 61.0
         assert parse_config("[run]\ns = 86.0\n", "picard")["run"]["s"] == 86.0
+
+    def test_tiny_sigma_at_zero_center_runs(self, tmp_path):
+        # at x0 = 0 the support [-1e-17, 1e-17] is resolved, and the ladder
+        # gives finite residuals
+        text = "[grid]\nn = 64\n[residual]\nx0 = 0.0\nsigma = 1e-17\nlevels = 2\n"
+        path = write(tmp_path, "s.cfg", text)
+        out = tmp_path / "o"
+        assert main(["peakon-verify", "--config", path, "--out", str(out)]) in (0, 1)
+        rep = json.loads((out / "report.json").read_text())
+        assert all(map(math.isfinite, rep["residuals"]))
 
     def test_picard_range_edges_accepted(self):
         cfg = parse_config("[run]\nn_slices = 2\nn_iter = 4\n", "picard")
@@ -834,8 +858,9 @@ class TestRunContract:
     @pytest.mark.parametrize("sigma", ["5e-324", "1e-155"])
     def test_tiny_sigma_fails_with_its_cause(self, tmp_path, capsys, sigma):
         # the test function's second derivative b''/sigma^2 overflows, and
-        # every residual came out NaN under a plain FAIL
-        text = EDGE_BASE["peakon-verify"] + f"sigma = {sigma}\n"
+        # every residual came out NaN under a plain FAIL; at x0 = 0 such a
+        # sigma still gives x0 +- sigma a support, so it loads
+        text = EDGE_BASE["peakon-verify"] + f"x0 = 0.0\nsigma = {sigma}\n"
         path = write(tmp_path, "s.cfg", text)
         out = tmp_path / "o"
         assert main(["peakon-verify", "--config", path, "--out", str(out)]) == 1

@@ -7,6 +7,7 @@ predictable pair of blocks.  The interpolation inequality with p = r = 2
 is log-convexity with constant exactly one, so it gets a hard bound.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -137,7 +138,7 @@ class TestBlocks:
         f = RealField(g, np.cos(2.0 * g.x))
         hits = []
         for j in part.blocks:
-            blk = dyadic_block(f, j, part)
+            blk = dyadic_block(f, j)
             if np.max(np.abs(blk.values)) > 1e-13:
                 hits.append(j)
         assert hits == [0, 1]
@@ -148,17 +149,15 @@ class TestBlocks:
         rng = np.random.default_rng(13)
         for _ in range(5):
             f = RealField(g, rng.standard_normal(g.n))
-            back = reconstruct(
-                [dyadic_block(f, j, part) for j in part.blocks]
-            )
+            back = reconstruct([dyadic_block(f, j) for j in part.blocks])
             assert np.max(np.abs(back.values - f.values)) < 1e-12
 
     def test_far_blocks_orthogonal(self):
         g = Grid1D(40.0, 512)
         part = build_partition(g)
         f = RealField(g, np.random.default_rng(19).standard_normal(g.n))
-        b0 = dyadic_block(f, 0, part)
-        b3 = dyadic_block(f, 3, part)
+        b0 = dyadic_block(f, 0)
+        b3 = dyadic_block(f, 3)
         # multiplier supports are literally disjoint, so the masked spectra
         # cannot share a bin
         ch = spectrum(f.values)
@@ -171,20 +170,20 @@ class TestBlocks:
         g = Grid1D(40.0, 256)
         part = build_partition(g)
         f = RealField(g, np.ones(g.n))
-        assert np.max(np.abs(dyadic_block(f, part.j_max + 5, part).values)) == 0.0
+        assert np.max(np.abs(dyadic_block(f, part.j_max + 5).values)) == 0.0
 
     def test_low_cutoff_telescopes(self):
         g = Grid1D(40.0, 512)
         part = build_partition(g)
         rng = np.random.default_rng(23)
         f = RealField(g, rng.standard_normal(g.n))
-        s0 = low_cutoff(f, 0, part)
-        d_low = dyadic_block(f, -1, part)
+        s0 = low_cutoff(f, 0)
+        d_low = dyadic_block(f, -1)
         assert np.max(np.abs(s0.values - d_low.values)) < 1e-14
-        full = low_cutoff(f, part.j_max + 1, part)
+        full = low_cutoff(f, part.j_max + 1)
         assert np.max(np.abs(full.values - f.values)) < 1e-12
         with pytest.raises(ConfigError):
-            low_cutoff(f, -1, part)
+            low_cutoff(f, -1)
 
     def test_cutoff_converges_on_band_limited_field(self):
         g = Grid1D(40.0, 512)
@@ -192,7 +191,7 @@ class TestBlocks:
         f = random_band_limited(g, np.random.default_rng(29))
         gaps = []
         for j in range(0, part.j_max + 2):
-            d = low_cutoff(f, j, part)
+            d = low_cutoff(f, j)
             gaps.append(np.max(np.abs(d.values - f.values)))
         assert all(b <= a + 1e-13 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-12
@@ -206,20 +205,16 @@ class TestBesovNorm:
         ratios = []
         for n in (256, 512, 1024):
             g = Grid1D(40.0, n)
-            part = build_partition(g)
             f = random_band_limited(g, rng)
-            ratios.append(
-                besov_norm(f, 1.5, 2.0, 2.0, part) / sobolev_norm(f, 1.5)
-            )
+            ratios.append(besov_norm(f, 1.5, 2.0, 2.0) / sobolev_norm(f, 1.5))
         assert all(0.2 < r < 5.0 for r in ratios)
         assert max(ratios) / min(ratios) < 1.2
 
     def test_single_mode_ratio_bounds(self):
         g = Grid1D(math.pi, 512)
-        part = build_partition(g)
         for m in (1, 2, 5, 16, 40, 100):
             f = RealField(g, np.cos(m * g.x))
-            ratio = besov_norm(f, 0.0, 2.0, 2.0, part) / lp_norm(f, 2.0)
+            ratio = besov_norm(f, 0.0, 2.0, 2.0) / lp_norm(f, 2.0)
             assert 2.0 ** -0.5 - 1e-12 <= ratio <= 1.0 + 1e-12
 
     def test_r_infinity_is_max(self):
@@ -228,20 +223,44 @@ class TestBesovNorm:
         f = random_band_limited(g, np.random.default_rng(37))
         vals = []
         for j in part.blocks:
-            blk = dyadic_block(f, j, part)
+            blk = dyadic_block(f, j)
             vals.append(2.0 ** (j * 1.0) * sobolev_norm(blk, 0.0))
-        assert besov_norm(f, 1.0, 2.0, math.inf, part) == pytest.approx(
+        assert besov_norm(f, 1.0, 2.0, math.inf) == pytest.approx(
             max(vals), rel=1e-12
         )
 
     def test_rejects_bad_indices(self):
         g = Grid1D(40.0, 256)
-        part = build_partition(g)
         f = RealField(g, np.zeros(g.n))
         with pytest.raises(ConfigError):
-            besov_norm(f, 1.0, 0.5, 2.0, part)
+            besov_norm(f, 1.0, 0.5, 2.0)
         with pytest.raises(ConfigError):
-            besov_norm(f, 1.0, 2.0, 0.0, part)
+            besov_norm(f, 1.0, 2.0, 0.0)
+
+
+class TestGridPartition:
+    """besov_norm, dyadic_block and low_cutoff take no partition: each reads
+    partition_for(f.grid), which must be the partition of f's grid."""
+
+    def test_functions_match_a_freshly_built_partition(self, monkeypatch):
+        monkeypatch.setattr(lpaley, "_partition_cache", {})  # (L, n) not yet cached
+        rng = np.random.default_rng(41)
+        g = Grid1D(13.0, 128)
+        fresh = build_partition(Grid1D(13.0, 128))
+        values = random_band_limited(g, rng).values
+        ch = spectrum(values)
+        for grid in (g, Grid1D(13.0, 128)):
+            f = RealField(grid, values)
+            for p in (2.0, 1.5, math.inf):
+                ref = lpaley._besov_sum(lpaley._block_norms(grid, ch, p, fresh), 0.7, 2.0)
+                assert besov_norm(f, 0.7, p, 2.0) == float(ref)
+            for j in fresh.blocks:
+                ref = synthesize(ch * fresh.mult(j))
+                assert np.array_equal(dyadic_block(f, j).values, ref)
+            for j in range(fresh.j_max + 2):
+                ref = synthesize(ch * fresh.multipliers[: j + 1].sum(axis=0))
+                assert np.array_equal(low_cutoff(f, j).values, ref)
+        assert list(lpaley._partition_cache) == [(13.0, 128)]
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +297,7 @@ class TestAudits:
 
     def test_report_serializes(self, corpus):
         rep = inequality_audit(corpus, ["embedding"])[0]
-        js = rep.to_json()
+        js = dataclasses.asdict(rep)
         assert js["audit_id"] == "embedding"
         assert isinstance(js["fitted_constant"], float)
 
@@ -340,7 +359,7 @@ class TestStackedAudit:
         assert [r.audit_id for r in together] == list(ids)
         for rep in together:
             alone = inequality_audit(corpus, [rep.audit_id])[0]
-            assert rep.to_json() == alone.to_json()
+            assert dataclasses.asdict(rep) == dataclasses.asdict(alone)
 
     @pytest.mark.parametrize("aid", AUDIT_IDS)
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -174,6 +174,13 @@ class TestTestFunction:
         with pytest.raises(ConfigError):
             TestFunction(0.0, 1.0, poly=(1.0, 2.0))
 
+    @pytest.mark.parametrize("sigma", [1e-17, 6e-154, -1.0])
+    def test_support_must_not_collapse_onto_its_center(self, sigma):
+        # x0 +- sigma rounds to x0 = 0.5, and every node would sit on x0
+        with pytest.raises(ConfigError, match=f"sigma = {sigma!r} .* x0 = 0.5"):
+            TestFunction(0.5, sigma)
+        assert TestFunction(0.0, 1e-17).support == (-1e-17, 1e-17)
+
 
 class TestWeakResidual:
     def test_zero_solution_zero_residual(self):

@@ -19,7 +19,7 @@ from gchlab.fields import (
     spectrum,
     synthesize,
 )
-from gchlab.lpaley import low_cutoff, partition_for
+from gchlab.lpaley import low_cutoff
 from gchlab.transport import (
     TimeSlices,
     _wrap_periodic,
@@ -420,7 +420,7 @@ class TestPicardStep:
         frames = np.tile(m0.values, (n_slices, 1))
         vel, src = momentum_coefficients(g, frames, spectrum(frames))
         args = (
-            low_cutoff(m0, 1, partition_for(g)).values,
+            low_cutoff(m0, 1).values,
             g,
             TimeSlices(g, times, vel),
             TimeSlices(g, times, src),
