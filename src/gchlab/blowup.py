@@ -37,23 +37,6 @@ RICCATI_STOP = 1e8
 
 
 @dataclass
-class CTReport:
-    h1: float
-    h32: float
-    C_T: float
-    C_tilde_T: float
-
-
-def compute_CT(u0: RealField, T: float) -> CTReport:
-    if T <= 0:
-        raise ConfigError(f"horizon must be positive, got T={T}")
-    h1 = sobolev_norm(u0, 1.0)
-    h32 = sobolev_norm(u0, 1.5)
-    bracket = 54.0 * T * h1 * h1 + 6.0 * h32
-    return CTReport(h1, h32, 4.0 * bracket, 2.0 * math.sqrt(2.0) * bracket)
-
-
-@dataclass
 class ConditionReport:
     C_T: float
     C_tilde_T: float
@@ -67,31 +50,32 @@ class ConditionReport:
 
 
 def check_condition(u0: RealField, T: float) -> ConditionReport:
-    """Evaluate both sufficient breakdown conditions for initial data u0."""
-    ct = compute_CT(u0, T)
+    """Evaluate both sufficient breakdown conditions for initial data u0
+    against the horizon constants C_T and C~_T of horizon T."""
+    if T <= 0:
+        raise ConfigError(f"horizon must be positive, got T={T}")
+    h1 = sobolev_norm(u0, 1.0)
+    bracket = 54.0 * T * h1 * h1 + 6.0 * sobolev_norm(u0, 1.5)
+    C_T, C_tilde_T = 4.0 * bracket, 2.0 * math.sqrt(2.0) * bracket
     g = u0.grid
     ch = spectrum(u0.values)
-    ux = synthesize(g.ik * ch)
-    uxx = synthesize(-(g.k**2) * ch)
+    ux, uxx = synthesize(np.stack((g.ik * ch, -(g.k**2) * ch)))
     w_curv = refined_min(g, uxx)[0]
     w_mixed = 2.0 * refined_min(g, uxx - 2.0 * ux)[0]
-    verdict = w_curv < -ct.C_T
 
     def maybe_time(w0: float, C: float) -> float | None:
         return riccati_bound_time(w0, C) if w0 < -C else None
 
-    bt_mixed = maybe_time(w_mixed, ct.C_T)
-    bt_curv = maybe_time(w_curv, ct.C_T)
-    bt_variant = maybe_time(w_mixed, ct.C_tilde_T)
+    bt_mixed = maybe_time(w_mixed, C_T)
     return ConditionReport(
-        C_T=ct.C_T,
-        C_tilde_T=ct.C_tilde_T,
+        C_T=C_T,
+        C_tilde_T=C_tilde_T,
         w_curvature=w_curv,
         w_mixed=w_mixed,
-        verdict=verdict,
+        verdict=w_curv < -C_T,
         bound_time=bt_mixed,
-        bound_time_curvature=bt_curv,
-        bound_time_variant=bt_variant,
+        bound_time_curvature=maybe_time(w_curv, C_T),
+        bound_time_variant=maybe_time(w_mixed, C_tilde_T),
         self_consistent=bt_mixed is not None and bt_mixed <= T,
     )
 
@@ -148,8 +132,6 @@ def riccati_solve(w0: float, C: float) -> RiccatiTrajectory:
 @dataclass
 class BlowupEstimate:
     T_est: float
-    slope: float
-    window: int
     residual_rms: float
 
 
@@ -181,7 +163,7 @@ def estimate_blowup_time(
     T_est = -a / b
     if T_est <= t[-1]:
         raise EstimationError("extrapolated time does not exceed the window")
-    return BlowupEstimate(float(T_est), float(b), window, float(np.sqrt(np.mean(resid**2))))
+    return BlowupEstimate(float(T_est), float(np.sqrt(np.mean(resid**2))))
 
 
 @dataclass
@@ -192,17 +174,16 @@ class RateReport:
     companion_vanishes: bool
 
 
-def rate_report(times, curvature_min, slope_min, est: BlowupEstimate) -> RateReport:
-    """Scaled products min u_xx (T-t) and |min u_x (T-t)| on the window of
-    the estimate."""
+def rate_report(times, curvature_min, slope_min, T_est: float, window: int) -> RateReport:
+    """Scaled products min u_xx (T_est-t) and |min u_x (T_est-t)| on the
+    last `window` samples."""
     t = np.asarray(times, dtype=float)
     cm = np.asarray(curvature_min, dtype=float)
     sm = np.asarray(slope_min, dtype=float)
-    w = est.window
-    if w < 3 or w > len(t):
-        raise ConfigError(f"window {w} out of range")
-    t, cm, sm = t[-w:], cm[-w:], sm[-w:]
-    gap = est.T_est - t
+    if window < 3 or window > len(t):
+        raise ConfigError(f"window {window} out of range")
+    t, cm, sm = t[-window:], cm[-window:], sm[-window:]
+    gap = T_est - t
     if np.any(gap <= 0):
         raise EstimationError("window reaches past the estimated time")
     cprod = cm * gap
@@ -211,14 +192,10 @@ def rate_report(times, curvature_min, slope_min, est: BlowupEstimate) -> RateRep
     return RateReport(cprod, float(np.mean(cprod)), trend, trend < 0.0)
 
 
-@dataclass
-class AccumulatorShape:
-    growth_factor: float
-
-
-def accumulator_shape(times, B) -> AccumulatorShape:
-    """Compare secant slopes of the curvature accumulator over the first
-    and last thirds; factor ~1 means linear growth, >>1 means blow-up."""
+def accumulator_shape(times, B) -> float:
+    """Growth factor of the curvature accumulator: its secant slope over the
+    last third over that over the first; ~1 means linear growth, >>1 means
+    blow-up."""
     t = np.asarray(times, dtype=float)
     b = np.asarray(B, dtype=float)
     if len(t) < 6:
@@ -228,4 +205,4 @@ def accumulator_shape(times, B) -> AccumulatorShape:
     late = (b[-1] - b[-1 - n3]) / (t[-1] - t[-1 - n3])
     if early <= 0:
         raise EstimationError("accumulator not increasing on the early window")
-    return AccumulatorShape(float(late / early))
+    return float(late / early)

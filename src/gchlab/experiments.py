@@ -248,18 +248,17 @@ def _blowup_single(cfg: dict, grid: Grid1D, amplitude: float):
         "window_mean": None,
         "B_growth_factor": None,
     }
+    window = cfg["estimate"]["window"]
     try:
-        est = bl.estimate_blowup_time(
-            rep.times, rep.min_uxx, window=cfg["estimate"]["window"], ceiling=ceiling
-        )
+        est = bl.estimate_blowup_time(rep.times, rep.min_uxx, window=window, ceiling=ceiling)
         record["T_est"] = est.T_est
-        rate = bl.rate_report(rep.times, rep.min_uxx, rep.min_ux, est)
+        rate = bl.rate_report(rep.times, rep.min_uxx, rep.min_ux, est.T_est, window)
         record["window_mean"] = rate.window_mean
         record["companion_vanishes"] = rate.companion_vanishes
     except EstimationError as exc:
         record["estimate_error"] = str(exc)
     try:
-        record["B_growth_factor"] = bl.accumulator_shape(rep.times, rep.B).growth_factor
+        record["B_growth_factor"] = bl.accumulator_shape(rep.times, rep.B)
     except (ConfigError, EstimationError) as exc:
         record["shape_error"] = str(exc)
     return record, rep

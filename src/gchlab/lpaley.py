@@ -69,7 +69,6 @@ def chi_base(xi: np.ndarray) -> np.ndarray:
 class DyadicPartition:
     """Sampled multipliers on a grid: row 0 is the low block (j = -1)."""
 
-    grid: Grid1D
     j_max: int
     multipliers: np.ndarray = dfield(repr=False)
 
@@ -97,7 +96,7 @@ def build_partition(grid: Grid1D) -> DyadicPartition:
     mult[j_max + 1] = 1.0 - cb[j_max]  # top octave carries everything above
     mult[0] = 1.0 - mult[1:].sum(axis=0)
     mult[0][absk > 4.0 / 3.0] = 0.0  # exact support, complement there is roundoff
-    return DyadicPartition(grid, j_max, mult)
+    return DyadicPartition(j_max, mult)
 
 
 _partition_cache: dict[tuple[float, int], DyadicPartition] = {}

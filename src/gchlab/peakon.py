@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fields import Grid1D, RealField
+from .fields import Grid1D, RealField, wrap
 
 BUMP_EDGE_TOL = 1e-12
 # weak_residual evaluates its time lines in blocks of about this many
@@ -43,13 +43,9 @@ def _check_speed(c: float):
         raise ConfigError(f"wave speed c must be positive, got {c}")
 
 
-def _wrap(xi: np.ndarray, L: float) -> np.ndarray:
-    return (xi + L) % (2.0 * L) - L
-
-
 def peakon_u(x: np.ndarray, t: float, c: float, L: float) -> np.ndarray:
     _check_speed(c)
-    xi = _wrap(np.asarray(x, dtype=float) - c * t, L)
+    xi = wrap(np.asarray(x, dtype=float) - c * t, L)
     ahead = xi >= 0.0
     out = np.empty_like(xi)
     out[ahead] = -(c / 6.0) * np.exp(-xi[ahead])
@@ -60,13 +56,13 @@ def peakon_u(x: np.ndarray, t: float, c: float, L: float) -> np.ndarray:
 
 def peakon_w(x: np.ndarray, t: float, c: float, L: float) -> np.ndarray:
     _check_speed(c)
-    xi = _wrap(np.asarray(x, dtype=float) - c * t, L)
+    xi = wrap(np.asarray(x, dtype=float) - c * t, L)
     return -(c / 2.0) * np.exp(-np.abs(xi))
 
 
 def peakon_m(x: np.ndarray, t: float, c: float, L: float) -> np.ndarray:
     _check_speed(c)
-    xi = _wrap(np.asarray(x, dtype=float) - c * t, L)
+    xi = wrap(np.asarray(x, dtype=float) - c * t, L)
     out = np.zeros_like(xi)
     behind = xi < 0.0
     out[behind] = -c * np.exp(2.0 * xi[behind])
@@ -97,7 +93,7 @@ class PeakonSolution:
         return peakon_w(x, t, self.c, self.L)
 
     def crest(self, ts) -> np.ndarray:
-        return _wrap(self.c * np.asarray(ts, dtype=float), self.L)
+        return wrap(self.c * np.asarray(ts, dtype=float), self.L)
 
 
 class TestFunction:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import momentum_coefficients
 from .errors import ConfigError, EstimationError
-from .fields import Grid1D, RealField, spectrum
+from .fields import Grid1D, RealField, spectrum, wrap
 from .lpaley import besov_norm, low_cutoff
 
 
@@ -74,21 +74,6 @@ def _cubic_eval(table: np.ndarray, grid: Grid1D, xq: np.ndarray) -> np.ndarray:
     out *= th
     out += c[0]
     return out
-
-
-def _wrap_periodic(x: np.ndarray, L: float) -> None:
-    """Wrap x into the periodic box [-L, L], in place.
-
-    Bitwise equal to (x + L) % (2L) - L for x in [-3L, 3L], where the
-    rounded quotient (x + L) / 2L has the exact floor and each subtraction
-    is exact or rounds once as the remainder does, at half its cost.
-    Farther out the two may differ by one period at a seam, which the
-    periodic interpolation does not see.
-    """
-    period = 2.0 * L
-    x += L
-    x -= period * np.floor(x / period)
-    x -= L
 
 
 def cubic_interp_periodic(values: np.ndarray, grid: Grid1D, xq: np.ndarray) -> np.ndarray:
@@ -173,8 +158,7 @@ def _trace_interval(frame, g: Grid1D, velocity, source, t0: float, t1: float, ns
         k2 = velocity(t - 0.5 * h, x - 0.5 * h * k1)
         k3 = velocity(t - 0.5 * h, x - 0.5 * h * k2)
         k4 = velocity(t - h, x - h * k3)
-        x = x - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _wrap_periodic(x, g.L)
+        x = wrap(x - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), g.L)
         t -= h
         if source is not None:
             s_prev = source(t, x)

@@ -100,22 +100,27 @@ def steep_lab():
         g = Grid1D(5.0, n)
         return RealField(g, 0.5 * np.exp(-(g.x**2) / (2 * 0.025**2)))
 
+    window = 20
     cond = check_condition(steep(4096), T)
     ceiling = 2.0 * cond.w_curvature
     cfg = dict(cfl_sigma=0.05, monitor_every=1, tail_threshold=1e-4)
     coarse = _pool("steep_4096", evolve(steep(4096), SolverConfig(T=T, **cfg)))
-    est_c = estimate_blowup_time(coarse.times, coarse.min_uxx, window=20, ceiling=ceiling)
+    est_c = estimate_blowup_time(coarse.times, coarse.min_uxx, window=window, ceiling=ceiling)
     fine = _pool(
         "steep_8192",
         evolve(steep(8192), SolverConfig(T=coarse.times[-1], **cfg)),
     )
-    est_f = estimate_blowup_time(fine.times, fine.min_uxx, window=20, ceiling=ceiling)
+    est_f = estimate_blowup_time(fine.times, fine.min_uxx, window=window, ceiling=ceiling)
     return {
         "cond": cond,
         "coarse": coarse,
         "fine": fine,
-        "rate_coarse": rate_report(coarse.times, coarse.min_uxx, coarse.min_ux, est_c),
-        "rate_fine": rate_report(fine.times, fine.min_uxx, fine.min_ux, est_f),
+        "window": window,
+        "ceiling": ceiling,
+        "rate_coarse": rate_report(
+            coarse.times, coarse.min_uxx, coarse.min_ux, est_c.T_est, window
+        ),
+        "rate_fine": rate_report(fine.times, fine.min_uxx, fine.min_ux, est_f.T_est, window),
         "est_coarse": est_c,
     }
 
@@ -272,22 +277,22 @@ def test_c08_breakdown_study(capsys, steep_lab, peakon_runs):
     cond = steep_lab["cond"]
     coarse = steep_lab["coarse"]
     ratio = steep_lab["est_coarse"].T_est / cond.bound_time
-    steep_shape = accumulator_shape(coarse.times, coarse.B)
+    steep_growth = accumulator_shape(coarse.times, coarse.B)
     control = peakon_runs[4096][0]
-    control_shape = accumulator_shape(control.times, control.B)
+    control_growth = accumulator_shape(control.times, control.B)
     ok = (
         cond.verdict
         and coarse.stop_reason == "resolution_stop"
         and ratio <= 1.1
-        and steep_shape.growth_factor >= 1.5
+        and steep_growth >= 1.5
         and control.stop_reason == "horizon"
-        and 0.95 <= control_shape.growth_factor <= 1.05
+        and 0.95 <= control_growth <= 1.05
     )
     verdict(
         capsys, 8, "breakdown study", ok,
         f"steep: stop={coarse.stop_reason}, T_est/bound {ratio:.3f} (<= 1.1), "
-        f"B growth {steep_shape.growth_factor:.2f} (>= 1.5); control: "
-        f"stop={control.stop_reason}, B growth {control_shape.growth_factor:.3f} "
+        f"B growth {steep_growth:.2f} (>= 1.5); control: "
+        f"stop={control.stop_reason}, B growth {control_growth:.3f} "
         f"(in [0.95, 1.05])",
     )
 
@@ -309,6 +314,17 @@ def test_c09_breakdown_rate(capsys, steep_lab):
         f"{rf.window_mean:.4f} ({d_f:.4f} < {d_c:.4f} from -1/2), "
         f"companion decreasing {rc.companion_vanishes and rf.companion_vanishes}",
     )
+
+
+def test_rate_window_is_the_fitted_window(steep_lab):
+    """rate_report takes the series' last `window` samples, and
+    estimate_blowup_time fits the last `window` samples below the ceiling:
+    the two are one window only if every one of those lies below it."""
+    window = steep_lab["window"]
+    for run in (steep_lab["coarse"], steep_lab["fine"]):
+        n = len(run.min_uxx)
+        kept = np.flatnonzero(np.asarray(run.min_uxx) < steep_lab["ceiling"])[-window:]
+        assert np.array_equal(kept, np.arange(n - window, n))
 
 
 def test_c10_iteration_scheme(capsys, picard_lab):

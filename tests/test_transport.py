@@ -18,11 +18,12 @@ from gchlab.fields import (
     lp_norm,
     spectrum,
     synthesize,
+    wrap,
 )
 from gchlab.lpaley import low_cutoff
+from gchlab.peakon import PeakonSolution
 from gchlab.transport import (
     TimeSlices,
-    _wrap_periodic,
     cubic_interp_periodic,
     picard_bound,
     picard_run,
@@ -133,10 +134,18 @@ class TestSolveTransport:
         seams = np.concatenate((seams, np.nextafter(seams, np.inf), np.nextafter(seams, -np.inf)))
         inside = seams[np.abs(seams) <= 3.0 * L]
         x = np.concatenate((rng.uniform(-3.0 * L, 3.0 * L, 10**6), inside))
-        ref = (x + L) % (2.0 * L) - L
-        _wrap_periodic(x, L)
-        assert np.array_equal(x, ref)
-        assert np.array_equal(np.signbit(x), np.signbit(ref))
+        # crest times around those at which c t crosses -L, L and 3L
+        c = 1.3
+        seam_ts = np.array([-L, L, 3.0 * L]) / c
+        ts = (seam_ts[:, None] + np.spacing(seam_ts)[:, None] * np.arange(-8, 9)).ravel()
+        crest = PeakonSolution(c, L).crest
+        cases = [(wrap(x, L), x), (crest(ts), c * ts)]
+        cases += [(wrap(v, L), v) for v in inside]  # numpy scalars
+        cases += [(crest(t), c * t) for t in ts]
+        for got, x0 in cases:
+            ref = (x0 + L) % (2.0 * L) - L
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
 
     def test_constant_advection_exact(self):
         g = Grid1D(math.pi, 512)
