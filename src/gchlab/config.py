@@ -451,7 +451,3 @@ def canonical_echo(cfg: dict, kind: str) -> str:
 def load_config(path: str, kind: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read(), kind)
-
-
-def default_config(kind: str) -> dict:
-    return parse_config("", kind)

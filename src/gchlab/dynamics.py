@@ -31,7 +31,7 @@ from .fields import (
     RealField,
     check_domain_decay,
     coefficient_power,
-    dealias_mask,
+    lp_norms,
     sobolev_norm,
     spectrum,
     synthesize,
@@ -69,7 +69,12 @@ class _Kernel:
 
     def __init__(self, grid: Grid1D):
         self.grid = grid
-        self.mask = dealias_mask(grid)
+        # grid.k ascends from 0, so the 2/3 rule's band |k| <= (2/3) k_Nyquist
+        # is the first `band` modes; the tail monitor reads its top third from `top`
+        kcut = (2.0 / 3.0) * grid.nyquist
+        self.band = int(np.searchsorted(grid.k, kcut, side="right"))
+        self.top = int(np.searchsorted(grid.k, (2.0 / 3.0) * kcut))
+        self.mask = np.arange(grid.k.size) < self.band
         # symbol of 2 - dx (u -> w)
         self.to_w = 2.0 - grid.ik
         # masked symbol of (1-dx^2)^{-1} dx(2+dx) = (2 dx + dx^2)/(1 - dx^2);
@@ -144,7 +149,7 @@ class SolverConfig:
 
 def _cfl_dt(cfg: SolverConfig, grid: Grid1D, w: np.ndarray) -> float:
     """CFL step for the advection speed |4u - 2u_x| = 2|w|."""
-    return cfg.cfl_sigma * grid.dx / max(2.0 * float(np.max(np.abs(w))), SPEED_FLOOR)
+    return cfg.cfl_sigma * grid.dx / max(2.0 * float(lp_norms(grid, w, np.inf)), SPEED_FLOOR)
 
 
 def refined_min(grid: Grid1D, vals: np.ndarray) -> tuple[float, float]:
@@ -171,7 +176,7 @@ def refined_min(grid: Grid1D, vals: np.ndarray) -> tuple[float, float]:
 def energy(grid: Grid1D, ch: np.ndarray) -> float:
     """Integral of u^2 + u_x^2, the conserved quantity of the flow, read
     from the coefficients ch = spectrum(u) by Parseval."""
-    return float(np.sum((1.0 + grid.k**2) * coefficient_power(grid, ch)))
+    return float(np.sum(grid.h1 * coefficient_power(grid, ch)))
 
 
 def spectral_tail_fraction(grid: Grid1D, ch: np.ndarray) -> float:
@@ -181,15 +186,12 @@ def spectral_tail_fraction(grid: Grid1D, ch: np.ndarray) -> float:
     The retained band is the one the 2/3 rule keeps, |k| <= (2/3) k_Nyquist;
     modes above it are zeroed every step, so they carry no information.
     """
-    dens = (1.0 + grid.k**2) * coefficient_power(grid, ch)
-    # grid.k ascends from 0, so the band and its top third are index ranges
-    kcut = (2.0 / 3.0) * grid.nyquist
-    m = int(np.searchsorted(grid.k, kcut, side="right"))
-    lo = int(np.searchsorted(grid.k, (2.0 / 3.0) * kcut))
-    total = float(dens[:m].sum())
+    kern = _kernel(grid)
+    dens = grid.h1 * coefficient_power(grid, ch)
+    total = float(dens[: kern.band].sum())
     if total == 0.0:
         return 0.0
-    return float(dens[lo:m].sum()) / total
+    return float(dens[kern.top : kern.band].sum()) / total
 
 
 def step(
@@ -294,7 +296,7 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
     ch = spectrum(u0.values)
     w0 = synthesize(kern.to_w * ch)
     w0_l2_sq = float(np.sum(w0 * w0) * g.dx)
-    w0_linf = float(np.max(np.abs(w0)))
+    w0_linf = float(lp_norms(g, w0, np.inf))
     ux_cap = 54.0 * cfg.T * sobolev_norm(u0, 1.0) ** 2 + 5.0 * sobolev_norm(u0, 1.5)
 
     uxx_sup_prev = 0.0
@@ -307,9 +309,9 @@ def evolve(u0: RealField, cfg: SolverConfig) -> RunReport:
         uxx_sup = max(abs(vmin), abs(refined_min(g, -uxx)[0]))
         rep.times.append(t)
         rep.energy.append(energy(g, ch))
-        rep.w_linf.append(float(np.max(np.abs(w))))
+        rep.w_linf.append(float(lp_norms(g, w, np.inf)))
         rep.w_bound.append(6.0 * w0_l2_sq * t + w0_linf)
-        rep.ux_linf.append(float(np.max(np.abs(ux))))
+        rep.ux_linf.append(float(lp_norms(g, ux, np.inf)))
         rep.ux_bound.append(ux_cap)
         if len(rep.times) == 1:
             rep.B.append(0.0)

@@ -2,9 +2,9 @@
 
 Everything lives on a uniform grid over [-L, L) with N a power of two.
 This is the only module that calls numpy.fft: `spectrum` and `synthesize`
-map grid values to Fourier coefficients and back, `coefficient_power` and
-`power` give the per-mode Parseval weights, and `Grid1D` caches the
-symbols (`k`, `ik`, `helm`) that are index-aligned with the coefficients.
+map grid values to Fourier coefficients and back, `coefficient_power`
+gives the per-mode Parseval power, and `Grid1D` caches the symbols (`k`,
+`ik`, `h1`, `helm`, `weight`) that are index-aligned with the coefficients.
 Other modules multiply by those symbols and never see the coefficient
 layout.
 Physical-space integrals are Riemann sums with weight dx; by Parseval that
@@ -13,7 +13,7 @@ matches the coefficient-space sums used for the Sobolev norms.
 Every field is real, so the layer keeps the half spectrum (real FFTs):
 N//2 + 1 coefficients for k = 0, pi/L, ..., k_Nyquist, all k >= 0, with
 Nyquist last.  Each interior coefficient also stands for its conjugate at
--k, so `power` counts interior modes twice.
+-k, so `Grid1D.weight` counts interior modes twice.
 """
 
 from __future__ import annotations
@@ -78,18 +78,27 @@ class Grid1D:
         return ik
 
     @cached_property
+    def h1(self) -> np.ndarray:
+        """Symbol of 1 - dx^2, the H^1 weight: 1 + k^2."""
+        h1 = 1.0 + self.k**2
+        h1.flags.writeable = False
+        return h1
+
+    @cached_property
     def helm(self) -> np.ndarray:
         """Symbol of (1 - dx^2)^{-1}: 1 / (1 + k^2)."""
-        helm = 1.0 / (1.0 + self.k**2)
+        helm = 1.0 / self.h1
         helm.flags.writeable = False
         return helm
 
     @cached_property
     def weight(self) -> np.ndarray:
-        """Parseval multiplicity of each coefficient: 2 for the interior
-        modes, which also stand for -k, and 1 for DC and Nyquist."""
+        """Parseval weight of each coefficient: its multiplicity, 2 for the
+        interior modes, which also stand for -k, and 1 for DC and Nyquist,
+        times dx/n."""
         w = np.full(self.k.shape, 2.0)
         w[0] = w[-1] = 1.0
+        w *= self.dx / self.n
         w.flags.writeable = False
         return w
 
@@ -138,14 +147,9 @@ def synthesize(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def coefficient_power(grid: Grid1D, coeffs: np.ndarray) -> np.ndarray:
-    """Per-mode weight * |c_k|^2 dx/n; for coeffs = spectrum(f) the sum is
-    the Riemann sum of f^2 (Parseval).  See Grid1D.weight."""
-    return np.abs(coeffs) ** 2 * (grid.weight * (grid.dx / grid.n))
-
-
-def power(f: RealField) -> np.ndarray:
-    """coefficient_power of the field's spectrum."""
-    return coefficient_power(f.grid, spectrum(f.values))
+    """Per-mode |c_k|^2 times Grid1D.weight; for coeffs = spectrum(f) the
+    sum is the Riemann sum of f^2 (Parseval)."""
+    return np.abs(coeffs) ** 2 * grid.weight
 
 
 def derivative(f: RealField, order: int = 1) -> RealField:
@@ -164,7 +168,7 @@ def helmholtz_inverse(f: RealField) -> RealField:
 
 def apply_one_minus_dxx(u: RealField) -> RealField:
     """(1 - dx^2) u, the exact inverse of helmholtz_inverse on the grid."""
-    return RealField(u.grid, synthesize(spectrum(u.values) * (1.0 + u.grid.k**2)))
+    return RealField(u.grid, synthesize(spectrum(u.values) * u.grid.h1))
 
 
 def periodized_kernel(grid: Grid1D) -> np.ndarray:
@@ -235,14 +239,14 @@ def sobolev_norm(f: RealField, s: float) -> float:
     """
     if s == 0:
         return lp_norm(f, 2.0)
-    total = np.sum((1.0 + f.grid.k**2) ** s * power(f))
+    total = np.sum(f.grid.h1**s * coefficient_power(f.grid, spectrum(f.values)))
     return float(np.sqrt(total))
 
 
 def check_domain_decay(f: RealField) -> None:
     """Raise unless max |f| at the two box ends is at most POLLUTION_TOL
     times max |f| (the zero field passes)."""
-    m = np.max(np.abs(f.values))
+    m = lp_norms(f.grid, f.values, np.inf)
     r = float(max(abs(f.values[0]), abs(f.values[-1])) / m) if m > 0.0 else 0.0
     if r > POLLUTION_TOL:
         raise ConfigError(
@@ -251,19 +255,9 @@ def check_domain_decay(f: RealField) -> None:
         )
 
 
-def dealias_mask(grid: Grid1D) -> np.ndarray:
-    """Boolean mask keeping |k| <= (2/3) k_Nyquist (the 2/3 rule)."""
-    return np.abs(grid.k) <= (2.0 / 3.0) * grid.nyquist
-
-
-def refine_field(f: RealField) -> RealField:
-    """Band-limited upsample onto a grid with 2N points (same L)."""
-    return RealField(Grid1D(f.grid.L, 2 * f.grid.n), refine_values(f.values))
-
-
 def refine_values(values: np.ndarray) -> np.ndarray:
-    """refine_field's grid values along the last axis, so a stack of fields
-    is upsampled in one pair of transforms."""
+    """Band-limited upsample onto the grid of 2N points and the same L, along
+    the last axis, so a stack of fields is upsampled in one pair of transforms."""
     ch = spectrum(values)
     half = values.shape[-1] // 2
     out = np.zeros(ch.shape[:-1] + (2 * half + 1,), dtype=complex)

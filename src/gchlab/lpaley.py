@@ -181,7 +181,7 @@ def reconstruct(blocks: list[RealField]) -> RealField:
 
 def _bessel(grid: Grid1D, s: float) -> np.ndarray:
     """The symbol (1 + k^2)^{s/2} of lam^s = (1 - dx^2)^{s/2}."""
-    return (1.0 + grid.k**2) ** (s / 2.0)
+    return grid.h1 ** (s / 2.0)
 
 
 @dataclass

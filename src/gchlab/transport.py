@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import momentum_coefficients
 from .errors import ConfigError, EstimationError
-from .fields import Grid1D, RealField, spectrum, wrap
+from .fields import Grid1D, RealField, lp_norms, spectrum, wrap
 from .lpaley import besov_norm, low_cutoff
 
 
@@ -335,7 +335,8 @@ def _steps_by_doubling(frame, g: Grid1D, velocity, source, t0: float, t1: float,
     coarse = _trace_interval(frame, g, velocity, source, t0, t1, 1)
     while k < cap:
         fine = _trace_interval(frame, g, velocity, source, t0, t1, 2 * k)
-        diff, scale = float(np.max(np.abs(fine - coarse))), float(np.max(np.abs(fine)))
+        diff = float(lp_norms(g, fine - coarse, np.inf))
+        scale = float(lp_norms(g, fine, np.inf))
         est = diff / scale if scale > 0.0 else diff
         if not math.isfinite(est):
             break

@@ -23,7 +23,6 @@ from gchlab.config import (
     KINDS,
     SCHEMAS,
     canonical_echo,
-    default_config,
     parse_config,
 )
 from gchlab.errors import ConfigError, EstimationError
@@ -118,7 +117,7 @@ class TestGrammar:
 class TestEcho:
     @pytest.mark.parametrize("kind", KINDS)
     def test_roundtrip_of_defaults(self, kind):
-        cfg = default_config(kind)
+        cfg = parse_config("", kind)
         echoed = canonical_echo(cfg, kind)
         assert echoed.splitlines()[0] == f"# kind = {kind}"
         assert parse_config(echoed, kind) == cfg
@@ -193,7 +192,7 @@ def in_range_configs(draw, kind):
     """A config of `kind` with drawn values for a drawn subset of its keys;
     a value out of its range goes back to the key's default."""
     schema = SCHEMAS[kind]
-    cfg = default_config(kind)
+    cfg = parse_config("", kind)
     for sec, keys in schema.items():
         for key, (ty, *_) in keys.items():
             if draw(st.booleans()):
@@ -248,7 +247,7 @@ class TestGrammarProperties:
     @given(data=st.data())
     def test_range_rejects_exactly_out_of_range_values(self, data, kind, sec, key):
         v = data.draw(VALUES[SCHEMAS[kind][sec][key][0]])
-        cfg = default_config(kind)
+        cfg = parse_config("", kind)
         cfg[sec][key] = v
         text = f"[{sec}]\n{key} = {_text(v)}\n"
         if _in_range(cfg, kind):
@@ -887,7 +886,7 @@ class TestRunContract:
     def test_overflowing_picard_norm_fails_with_its_name(self):
         # at s = 400 the B^399 norm of the datum overflows
         grid = Grid1D(20.0, 256)
-        m0 = experiments._initial_field(default_config("picard")["data"], grid)
+        m0 = experiments._initial_field(parse_config("", "picard")["data"], grid)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             EstimationError, match=r"^\|\|m0\|\|_B\^399 is not finite"
         ):
@@ -1049,7 +1048,7 @@ class TestDeterminism:
         assert read_artifacts(unseeded)["report.json"] != a["report.json"]
 
     def test_negative_seed_fails_before_any_write(self, tmp_path):
-        cfg = default_config("besov-audit")
+        cfg = parse_config("", "besov-audit")
         out = tmp_path / "o"
         with pytest.raises(ConfigError, match=r"\[corpus\] seed must be >= 0"):
             experiments.run_experiment("besov-audit", cfg, str(out), -1)

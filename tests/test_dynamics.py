@@ -372,14 +372,35 @@ class TestMonitors:
     @pytest.mark.parametrize("L", [40.0, math.pi])
     def test_tail_fraction_matches_mask_reference_bitwise(self, n, L):
         g = Grid1D(L, n)
-        ch = spectrum(np.random.default_rng(n).standard_normal(n))
-        # the boolean-mask formula over |k|
-        dens = (1.0 + g.k**2) * fields.coefficient_power(g, ch)
+        v = np.random.default_rng(n).standard_normal(n)
+        ch = spectrum(v)
+        # the inline formulas the cached symbols and the kernel's band replace:
+        # 1 + k^2, the Parseval weight times dx/n, and the boolean 2/3 mask
+        h1 = 1.0 + g.k**2
+        mult = np.full(g.k.shape, 2.0)
+        mult[0] = mult[-1] = 1.0
+        pw = np.abs(ch) ** 2 * (mult * (g.dx / g.n))
         kcut = (2.0 / 3.0) * g.nyquist
         retained = np.abs(g.k) <= kcut
         top = retained & (np.abs(g.k) >= (2.0 / 3.0) * kcut)
+        dens = h1 * pw
         want = float(dens[top].sum()) / float(dens[retained].sum())
         assert spectral_tail_fraction(g, ch) == want
+
+        def same(a, b):
+            return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+        f = RealField(g, v)
+        assert same(fields.coefficient_power(g, ch), pw)
+        assert same(energy(g, ch), float(np.sum(h1 * pw)))
+        for s in (1.0, 1.5):
+            assert same(sobolev_norm(f, s), float(np.sqrt(np.sum(h1**s * pw))))
+        assert same(apply_one_minus_dxx(f).values, synthesize(ch * h1))
+        assert same(g.helm, 1.0 / h1)
+        kern = dynamics._kernel(g)
+        assert same(kern.mask, retained)
+        assert kern.band == retained.sum()
+        assert kern.top == np.flatnonzero(top)[0]
 
     def test_energy_matches_h1_square(self):
         g = Grid1D(40.0, 256)

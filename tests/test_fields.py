@@ -21,20 +21,21 @@ from gchlab.fields import (
     RealField,
     apply_one_minus_dxx,
     check_domain_decay,
-    dealias_mask,
+    coefficient_power,
     derivative,
     green_convolve,
     helmholtz_inverse,
     lp_norm,
+    lp_norms,
     periodized_kernel,
-    power,
     random_band_limited,
     random_band_limited_values,
-    refine_field,
+    refine_values,
     sobolev_norm,
     spectrum,
     synthesize,
 )
+from gchlab.dynamics import _kernel
 from gchlab.peakon import peakon_field
 
 # int_0^inf (1+k^2)^{-1/2}/(4+k^2) dk, full line, via adaptive quadrature
@@ -161,7 +162,7 @@ class TestLayerProperties:
         )
         f = RealField(grid, v + dc + nyq * (-1.0) ** np.arange(grid.n))
         l2sq = lp_norm(f, 2.0) ** 2
-        assert abs(power(f).sum() - l2sq) <= 1e-12 * l2sq
+        assert abs(coefficient_power(grid, spectrum(f.values)).sum() - l2sq) <= 1e-12 * l2sq
 
 
 class TestHelmholtz:
@@ -254,6 +255,24 @@ class TestNorms:
         with pytest.raises(ConfigError):
             lp_norm(f, 0.5)
 
+    @pytest.mark.parametrize(
+        "node", [None, 0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, "zeros", "negzeros"]
+    )
+    def test_sup_norm_matches_max_abs_bitwise(self, node):
+        # the sup norm every caller takes through lp_norms, against the
+        # hand-written max|v|, in all 8 bytes: signed zeros, NaN and inf
+        # are where two ways of taking a maximum could part
+        g = grid40(64)
+        v = np.random.default_rng(53).standard_normal(g.n)
+        if node == "zeros":
+            v = np.zeros(g.n)
+        elif node == "negzeros":
+            v = np.full(g.n, -0.0)
+        elif node is not None:
+            v[17] = node
+        want = np.float64(np.max(np.abs(v))).tobytes()
+        assert np.float64(lp_norms(g, v, np.inf)).tobytes() == want
+
     def test_norm_scaling_homogeneity(self):
         g = grid40(128)
         rng = np.random.default_rng(31)
@@ -268,7 +287,7 @@ class TestNorms:
 class TestDealiasRefine:
     def test_mask_cuts_top_third(self):
         g = grid40(256)
-        mask = dealias_mask(g)
+        mask = _kernel(g).mask
         kept = np.abs(g.k[mask]).max()
         dropped = np.abs(g.k[~mask]).min()
         assert kept <= (2.0 / 3.0) * g.nyquist < dropped
@@ -277,8 +296,7 @@ class TestDealiasRefine:
         g = grid40(128)
         rng = np.random.default_rng(41)
         f = random_band_limited(g, rng)
-        fine = refine_field(f)
-        assert fine.grid.n == 256
+        fine = RealField(grid40(256), refine_values(f.values))
         # coarse nodes are every second fine node
         assert np.max(np.abs(fine.values[::2] - f.values)) < 1e-12
         for s in (0.0, 1.0):
@@ -288,11 +306,9 @@ class TestDealiasRefine:
 
     @pytest.mark.parametrize("n", [16, 128, 1024])
     def test_refine_keeps_nyquist_content(self, n):
-        g = grid40(n)
         rng = np.random.default_rng(43)
         for vals in (0.3 + (-1.0) ** np.arange(n), rng.standard_normal(n)):
-            f = RealField(g, vals)
-            assert np.max(np.abs(refine_field(f).values[::2] - f.values)) <= 1e-12
+            assert np.max(np.abs(refine_values(vals)[::2] - vals)) <= 1e-12
 
 
 class TestRandomCorpus:

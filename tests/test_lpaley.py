@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from gchlab import experiments, fields, lpaley
-from gchlab.config import AUDIT_IDS, default_config
+from gchlab.config import AUDIT_IDS, parse_config
 from gchlab.errors import ConfigError
 from gchlab.fields import (
     Grid1D,
@@ -26,7 +26,7 @@ from gchlab.fields import (
     derivative,
     lp_norm,
     random_band_limited,
-    refine_field,
+    refine_values,
     sobolev_norm,
     spectrum,
     synthesize,
@@ -347,7 +347,10 @@ class TestStackedAudit:
         # the embedding's target exponents p2 = r2 = inf are stored as None
         params = {k: math.inf if v is None else v for k, v in rep.params.items()}
         base = per_field_ratios(corpus, aid, params)
-        fine = per_field_ratios([refine_field(f) for f in corpus], aid, params)
+        g2 = Grid1D(corpus[0].grid.L, 2 * corpus[0].grid.n)
+        fine = per_field_ratios(
+            [RealField(g2, refine_values(f.values)) for f in corpus], aid, params
+        )
         np.testing.assert_allclose(rep.ratios, base, rtol=1e-13, atol=0.0)
         assert rep.refinement_ratio == pytest.approx(max(fine) / max(base), rel=1e-13)
 
@@ -410,7 +413,7 @@ class TestAuditRun:
 
     @pytest.fixture
     def defaults(self):
-        cfg = default_config("besov-audit")
+        cfg = parse_config("", "besov-audit")
         return cfg, Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
 
     def test_refines_once_and_takes_each_grids_spectrum_once(self, monkeypatch, defaults):

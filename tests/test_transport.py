@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gchlab import experiments, transport
-from gchlab.config import default_config
+from gchlab.config import parse_config
 from gchlab.dynamics import SolverConfig, evolve, momentum_coefficients
 from gchlab.errors import ConfigError, EstimationError
 from gchlab.fields import (
@@ -299,7 +299,7 @@ class TestAprioriAudit:
     def test_large_growth_integral_does_not_overflow(self):
         # at [audit] s = 1.5 V(T) is about 4.5e3: a bracket that starts at
         # C = 1 evaluates e^{V(T)}, which overflows with a RuntimeWarning
-        cfg = default_config("transport-test")
+        cfg = parse_config("", "transport-test")
         cfg["audit"]["s"] = 1.5
         cfg["audit"]["seed"] = 5
         grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
@@ -320,7 +320,7 @@ class TestAprioriAudit:
             return besov_norm(*args)
 
         monkeypatch.setattr(transport, "besov_norm", counted)
-        cfg = default_config("transport-test")
+        cfg = parse_config("", "transport-test")
         grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
         assert experiments.run_transport_test(cfg, grid).passed
         assert len(calls) == 28
@@ -399,7 +399,7 @@ class TestPicard:
 
 
 def picard_default_datum():
-    cfg = default_config("picard")
+    cfg = parse_config("", "picard")
     grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
     return experiments._initial_field(cfg["data"], grid), cfg["run"]
 
