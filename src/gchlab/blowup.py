@@ -199,7 +199,7 @@ def accumulator_shape(times, B) -> float:
     t = np.asarray(times, dtype=float)
     b = np.asarray(B, dtype=float)
     if len(t) < 6:
-        raise ConfigError("need at least six samples")
+        raise EstimationError("need at least six samples")
     n3 = len(t) // 3
     early = (b[n3] - b[0]) / (t[n3] - t[0])
     late = (b[-1] - b[-1 - n3]) / (t[-1] - t[-1 - n3])

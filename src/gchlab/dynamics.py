@@ -233,7 +233,13 @@ class RunReport:
     final: RealField | None = None
     steps_taken: int = 0
 
-    CSV_HEADER = "t,E,w_linf,w_bound,ux_linf,ux_bound,B,min_uxx,xi"
+    # series.csv: (column name, attribute) in column order
+    _CSV_COLUMNS = (
+        ("t", "times"), ("E", "energy"), ("w_linf", "w_linf"), ("w_bound", "w_bound"),
+        ("ux_linf", "ux_linf"), ("ux_bound", "ux_bound"), ("B", "B"),
+        ("min_uxx", "min_uxx"), ("xi", "xi"),
+    )
+    CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
 
     @property
     def verdicts(self) -> dict:
@@ -246,17 +252,7 @@ class RunReport:
         }
 
     def to_csv(self) -> str:
-        columns = (
-            self.times,
-            self.energy,
-            self.w_linf,
-            self.w_bound,
-            self.ux_linf,
-            self.ux_bound,
-            self.B,
-            self.min_uxx,
-            self.xi,
-        )
+        columns = [getattr(self, attr) for _, attr in self._CSV_COLUMNS]
         rows = [",".join(map(repr, row)) for row in zip(*columns)]
         return "\n".join([self.CSV_HEADER, *rows]) + "\n"
 
@@ -265,17 +261,17 @@ class RunReport:
         return {
             "stop_reason": self.stop_reason,
             "steps": self.steps_taken,
-            "t_final": self.times[-1] if self.times else 0.0,
-            "energy_initial": self.energy[0] if self.energy else 0.0,
-            "energy_final": self.energy[-1] if self.energy else 0.0,
+            "t_final": self.times[-1],
+            "energy_initial": self.energy[0],
+            "energy_final": self.energy[-1],
             "energy_drift_rel": (
                 abs(self.energy[-1] - self.energy[0]) / self.energy[0]
-                if self.energy and self.energy[0] > 0
+                if self.energy[0] > 0
                 else 0.0
             ),
-            "min_uxx_final": self.min_uxx[-1] if self.min_uxx else 0.0,
-            "B_final": self.B[-1] if self.B else 0.0,
-            "tail_frac_final": self.tail_frac[-1] if self.tail_frac else 0.0,
+            "min_uxx_final": self.min_uxx[-1],
+            "B_final": self.B[-1],
+            "tail_frac_final": self.tail_frac[-1],
             "verdicts": v,
         }
 

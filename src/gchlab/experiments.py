@@ -70,22 +70,15 @@ def _write(outdir: str, name: str, text: str):
 
 
 def _san(obj):
-    """JSON-safe copy: numpy scalars unwrapped, non-finite floats spelled out."""
+    """JSON-safe copy with non-finite floats spelled out; runner bodies hold
+    Python values (an np.float64 is a float), so nothing else is converted."""
     if isinstance(obj, dict):
         return {k: _san(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_san(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_san(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
+        return repr(float(obj))
     return obj
-
-
-def _report(outdir: str, payload: dict):
-    _write(outdir, "report.json", json.dumps(_san(payload), indent=2) + "\n")
 
 
 def _csv_cell(v) -> str:
@@ -229,7 +222,11 @@ def run_peakon_verify(cfg: dict, grid: Grid1D) -> Outcome:
     return Outcome(body, passed, files, chart)
 
 
-_SWEEP_COLUMNS = ("amplitude", "C_T", "verdict", "T_est", "bound_time", "window_mean")
+# sweep.csv: (column name, record key) in column order
+_SWEEP_COLUMNS = (
+    ("A", "amplitude"), ("C_T", "C_T"), ("verdict", "verdict"),
+    ("T_est", "T_est"), ("bound", "bound_time"), ("window_mean", "window_mean"),
+)
 
 
 def _blowup_single(cfg: dict, grid: Grid1D, amplitude: float):
@@ -260,7 +257,7 @@ def _blowup_single(cfg: dict, grid: Grid1D, amplitude: float):
         record["estimate_error"] = str(exc)
     try:
         record["B_growth_factor"] = bl.accumulator_shape(rep.times, rep.B)
-    except (ConfigError, EstimationError) as exc:
+    except EstimationError as exc:
         record["shape_error"] = str(exc)
     return record, rep
 
@@ -275,8 +272,8 @@ def run_blowup_study(cfg: dict, grid: Grid1D) -> Outcome:
         files[f"sweep_{i:02d}/series.csv"] = member.to_csv()
     if sweep:
         files["sweep.csv"] = _csv(
-            "A,C_T,verdict,T_est,bound,window_mean",
-            ([r[k] for k in _SWEEP_COLUMNS] for r in sweep),
+            ",".join(name for name, _ in _SWEEP_COLUMNS),
+            ([r[key] for _, key in _SWEEP_COLUMNS] for r in sweep),
         )
 
     if record["verdict"]:  # breakdown predicted: a resolution stop in time
@@ -458,5 +455,5 @@ def run_experiment(
         report = {"kind": kind, "error": error, "passed": False}
         raise
     finally:
-        _report(outdir, report)
+        _write(outdir, "report.json", json.dumps(_san(report), indent=2) + "\n")
     return 0 if report["passed"] else 1

@@ -152,15 +152,6 @@ def coefficient_power(grid: Grid1D, coeffs: np.ndarray) -> np.ndarray:
     return np.abs(coeffs) ** 2 * grid.weight
 
 
-def derivative(f: RealField, order: int = 1) -> RealField:
-    """Spectral d^order/dx^order. Odd orders zero the Nyquist mode (see Grid1D.ik)."""
-    if order < 1:
-        raise ConfigError(f"derivative order must be a positive integer, got {order}")
-    g = f.grid
-    sym = g.ik if order % 2 == 1 else 1j * g.k
-    return RealField(g, synthesize(spectrum(f.values) * sym**order))
-
-
 def helmholtz_inverse(f: RealField) -> RealField:
     """(1 - dx^2)^{-1} f via the symbol 1 / (1 + k^2)."""
     return RealField(f.grid, synthesize(spectrum(f.values) * f.grid.helm))
@@ -232,13 +223,8 @@ def lp_norms(grid: Grid1D, values: np.ndarray, p: float) -> np.ndarray:
 
 
 def sobolev_norm(f: RealField, s: float) -> float:
-    """H^s norm via (1+k^2)^s coefficient weighting, normalized to dx sums.
-
-    s = 0 delegates to lp_norm(f, 2) so the two agree exactly, not just to
-    FFT roundoff.
-    """
-    if s == 0:
-        return lp_norm(f, 2.0)
+    """H^s norm via (1+k^2)^s coefficient weighting, normalized to dx sums;
+    at s = 0 the L^2 norm, up to FFT roundoff."""
     total = np.sum(f.grid.h1**s * coefficient_power(f.grid, spectrum(f.values)))
     return float(np.sqrt(total))
 

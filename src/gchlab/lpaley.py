@@ -127,14 +127,10 @@ def low_cutoff(f: RealField, j: int) -> RealField:
     return RealField(f.grid, synthesize(spectrum(f.values) * m))
 
 
-def _validate_params(s: float, p: float, r: float) -> None:
-    if p < 1 or r < 1:
-        raise ConfigError(f"Besov indices need p, r >= 1, got p={p}, r={r}")
-
-
 def besov_norm(f: RealField, s: float, p: float = 2.0, r: float = 2.0) -> float:
     """(sum_j 2^{jsr} ||Delta_j f||_p^r)^{1/r}, sup over j when r = inf."""
-    _validate_params(s, p, r)
+    if p < 1 or r < 1:
+        raise ConfigError(f"Besov indices need p, r >= 1, got p={p}, r={r}")
     part = partition_for(f.grid)
     return float(_besov_sum(_block_norms(f.grid, spectrum(f.values), p, part), s, r))
 

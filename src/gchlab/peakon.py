@@ -60,15 +60,6 @@ def peakon_w(x: np.ndarray, t: float, c: float, L: float) -> np.ndarray:
     return -(c / 2.0) * np.exp(-np.abs(xi))
 
 
-def peakon_m(x: np.ndarray, t: float, c: float, L: float) -> np.ndarray:
-    _check_speed(c)
-    xi = wrap(np.asarray(x, dtype=float) - c * t, L)
-    out = np.zeros_like(xi)
-    behind = xi < 0.0
-    out[behind] = -c * np.exp(2.0 * xi[behind])
-    return out
-
-
 def peakon_field(grid: Grid1D, t: float, c: float) -> RealField:
     return RealField(grid, peakon_u(grid.x, t, c, grid.L))
 

@@ -383,6 +383,8 @@ def picard_run(
     """
     if n_iter < 2:
         raise ConfigError("need at least two iterations to measure a distance")
+    if n_slices < 2:
+        raise ConfigError(f"need at least two time slices, got n_slices={n_slices}")
     g = m0.grid
     times = np.linspace(0.0, T, n_slices)
     interval = times[1] - times[0]

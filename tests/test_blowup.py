@@ -177,5 +177,5 @@ class TestAccumulator:
         assert accumulator_shape(t, B) > 3.0
 
     def test_needs_enough_samples(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(EstimationError):
             accumulator_shape(np.linspace(0, 1, 5), np.linspace(0, 1, 5))

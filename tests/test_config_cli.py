@@ -805,6 +805,14 @@ class TestRunContract:
         assert rep["kind"] == kind and rep["passed"] is True
         assert (out / "echo.cfg").exists() and (out / "plot.svg").exists()
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_runner_body_is_json_native(self, kind):
+        # report.json only spells out non-finite floats; a numpy integer,
+        # bool or array in a runner's body would fail to serialize here
+        cfg = parse_config(SMALL[kind], kind)
+        grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["n"])
+        json.dumps(experiments.RUNNERS[kind](cfg, grid).body)
+
     def test_early_stop_never_passes(self, tmp_path, capsys):
         # a tail threshold below zero stops the run at its first monitored step
         text = "[grid]\nn = 256\n[run]\ntail_threshold = -1.0\n"

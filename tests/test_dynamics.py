@@ -25,7 +25,6 @@ from gchlab.fields import (
     Grid1D,
     RealField,
     apply_one_minus_dxx,
-    derivative,
     helmholtz_inverse,
     lp_norm,
     random_band_limited,
@@ -151,7 +150,8 @@ class TestCoefficientStep:
         # the step's CFL speed is |2w| from the first stage
         u0 = step_data(n)
         g = u0.grid
-        speed = np.max(np.abs(4.0 * u0.values - 2.0 * derivative(u0, 1).values))
+        ux = synthesize(spectrum(u0.values) * g.ik)
+        speed = np.max(np.abs(4.0 * u0.values - 2.0 * ux))
         assert speed > SPEED_FLOOR
         state = apply_one_minus_dxx(u0) if form == "m_form" else u0
         _, w = KERNEL_RHS[form](dynamics._kernel(g), spectrum(state.values))
@@ -188,7 +188,7 @@ class TestTransformBudget:
         def forbidden(*args, **kwargs):
             raise AssertionError("grid-value operator called by the solver")
 
-        for name in ("derivative", "helmholtz_inverse", "apply_one_minus_dxx"):
+        for name in ("helmholtz_inverse", "apply_one_minus_dxx"):
             monkeypatch.setattr(fields, name, forbidden)
             monkeypatch.setattr(dynamics, name, forbidden, raising=False)
         return counts
@@ -343,7 +343,7 @@ class TestMonitors:
         g = Grid1D(40.0, 512)
         k0 = 4 * math.pi / g.L
         u = RealField(g, np.cos(k0 * g.x))
-        val, loc = refined_min(g, derivative(u, 2).values)
+        val, loc = refined_min(g, synthesize(spectrum(u.values) * -(g.k**2)))
         assert val == pytest.approx(-(k0**2), rel=1e-6)
         # minima of -k0^2 cos at multiples of the period
         period = 2 * math.pi / k0
@@ -354,7 +354,7 @@ class TestMonitors:
         k0 = 4 * math.pi / g.L
         shift = 0.3714 * g.dx
         u = RealField(g, np.cos(k0 * (g.x - shift)))
-        val, loc = refined_min(g, derivative(u, 2).values)
+        val, loc = refined_min(g, synthesize(spectrum(u.values) * -(g.k**2)))
         assert val == pytest.approx(-(k0**2), rel=1e-5)
         period = 2 * math.pi / k0
         assert min(abs(loc - (m * period + shift)) for m in range(-4, 5)) < 1e-3

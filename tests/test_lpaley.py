@@ -23,7 +23,6 @@ from gchlab.errors import ConfigError
 from gchlab.fields import (
     Grid1D,
     RealField,
-    derivative,
     lp_norm,
     random_band_limited,
     refine_values,
@@ -331,9 +330,9 @@ def per_field_ratios(corpus, which, params):
             prod = RealField(f.grid, f.values * g.values)
             comm = RealField(f.grid, _lam(prod, s).values - f.values * _lam(g, s).values)
             lhs = lp_norm(comm, 2.0)
-            rhs = lp_norm(_lam(f, s), 2.0) * lp_norm(g, math.inf) + lp_norm(
-                derivative(f, 1), math.inf
-            ) * lp_norm(_lam(g, s - 1.0), 2.0)
+            fx = RealField(f.grid, synthesize(spectrum(f.values) * f.grid.ik))
+            rhs = lp_norm(_lam(f, s), 2.0) * lp_norm(g, math.inf)
+            rhs += lp_norm(fx, math.inf) * lp_norm(_lam(g, s - 1.0), 2.0)
         out.append(lhs / rhs)
     return np.array(out)
 

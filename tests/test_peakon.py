@@ -15,7 +15,6 @@ from gchlab.peakon import (
     TestFunction,
     peakon_energy,
     peakon_field,
-    peakon_m,
     peakon_u,
     peakon_w,
     refinement_study,
@@ -86,19 +85,6 @@ class TestWaveProfile:
         w_fd = 2.0 * peakon_u(xs, 0.0, c, L) - ux
         assert np.max(np.abs(w_fd - peakon_w(xs, 0.0, c, L))) < 1e-9
 
-    def test_momentum_branches_and_jump(self):
-        c = 1.1
-        xs_front = np.linspace(0.0, 10.0, 11)
-        assert np.all(peakon_m(xs_front, 0.0, c, L) == 0.0)
-        xs_rear = np.linspace(-10.0, -0.5, 11)
-        expect = -c * np.exp(2.0 * xs_rear)
-        assert np.max(np.abs(peakon_m(xs_rear, 0.0, c, L) - expect)) < 1e-14
-        eps = 1e-9
-        jump = peakon_m(np.array([eps]), 0.0, c, L)[0] - peakon_m(
-            np.array([-eps]), 0.0, c, L
-        )[0]
-        assert jump == pytest.approx(c, rel=1e-6)
-
     def test_momentum_is_curvature_defect(self):
         c = 0.9
         h = 1e-4
@@ -107,7 +93,8 @@ class TestWaveProfile:
         u0 = peakon_u(xs, 0.0, c, L)
         um = peakon_u(xs - h, 0.0, c, L)
         m_fd = u0 - (up - 2 * u0 + um) / h**2
-        assert np.max(np.abs(m_fd - peakon_m(xs, 0.0, c, L))) < 1e-6
+        # behind the crest m = u - u_xx is -c e^{2 xi} (module docstring)
+        assert np.max(np.abs(m_fd + c * np.exp(2.0 * xs))) < 1e-6
 
     def test_translation_covariance(self):
         c, t = 1.4, 31.0  # c*t wraps around the box

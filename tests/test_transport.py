@@ -397,6 +397,13 @@ class TestPicard:
         with pytest.raises(ConfigError):
             picard_run(RealField(g, np.zeros(g.n)), T=0.1, n_iter=1)
 
+    @pytest.mark.parametrize("n_slices", [0, 1])
+    def test_needs_two_slices(self, n_slices):
+        g = Grid1D(20.0, 256)
+        m0 = RealField(g, np.zeros(g.n))
+        with pytest.raises(ConfigError, match="two time slices"):
+            picard_run(m0, T=0.25, n_iter=4, n_slices=n_slices)
+
 
 def picard_default_datum():
     cfg = parse_config("", "picard")
