@@ -11,7 +11,7 @@ from .experiments import run_experiment
 
 
 def _seed(text: str) -> int:
-    """A --seed value: a decimal integer >= 0, as numpy's default_rng takes."""
+    """A --seed value: a decimal integer >= 0, the range of every seed key."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)

@@ -121,7 +121,8 @@ _DYADIC = (
 # schema: kind -> section -> key -> (type tag, default), or (type tag,
 # default, test(value, cfg), demand) for a key with a load-time range.
 # Ranges are checked in schema order; a test that reads a later key must
-# not raise on that key's bad values.  numpy's default_rng takes seeds >= 0.
+# not raise on that key's bad values.  Seeds are >= 0: fields.SeededNormals
+# would fold a negative seed onto its absolute value.
 SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
     "simulate": {
         "grid": {"L": ("float", 40.0, *_BOX), "n": ("int", 4096, *_POW2)},

@@ -29,6 +29,7 @@ from .errors import ConfigError, EstimationError
 from .fields import (
     Grid1D,
     RealField,
+    SeededNormals,
     apply_one_minus_dxx,
     helmholtz_inverse,
     lp_norm,
@@ -114,8 +115,7 @@ def _initial_field(dcfg: dict, grid: Grid1D) -> RealField:
 
         return peakon_field(grid, 0.0, dcfg["speed"])
     # "random", the last of config.DATA_KINDS
-    rng = np.random.default_rng(dcfg["seed"])
-    f = random_band_limited(grid, rng, decay=dcfg["decay"])
+    f = random_band_limited(grid, SeededNormals(dcfg["seed"]), decay=dcfg["decay"])
     # band-limited noise is periodic, not decaying; a Gaussian envelope
     # (boundary value e^-18) keeps it inside the solver's decay screen
     env = np.exp(-(grid.x**2) / (2.0 * (grid.L / 6.0) ** 2))
@@ -336,7 +336,7 @@ def run_picard(cfg: dict, grid: Grid1D) -> Outcome:
 
 def run_besov_audit(cfg: dict, grid: Grid1D) -> Outcome:
     ccfg = cfg["corpus"]
-    rng = np.random.default_rng(ccfg["seed"])
+    rng = SeededNormals(ccfg["seed"])
     values = random_band_limited_values(
         grid, rng, ccfg["count"], frac=ccfg["frac"], decay=ccfg["decay"]
     )
@@ -382,8 +382,7 @@ def run_transport_test(cfg: dict, grid: Grid1D) -> Outcome:
     )
 
     acfg = cfg["audit"]
-    rng = np.random.default_rng(acfg["seed"])
-    vel, datum = random_band_limited_values(grid, rng, 2)
+    vel, datum = random_band_limited_values(grid, SeededNormals(acfg["seed"]), 2)
     frozen = TimeSlices(grid, np.array([0.0, T]), np.tile(vel, (2, 1)))
     audit = transport_apriori_audit(RealField(grid, datum), frozen, T, acfg["dt"], s=acfg["s"])
 

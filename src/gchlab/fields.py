@@ -7,6 +7,8 @@ gives the per-mode Parseval power, and `Grid1D` caches the symbols (`k`,
 `ik`, `h1`, `helm`, `weight`) that are index-aligned with the coefficients.
 Other modules multiply by those symbols and never see the coefficient
 layout.
+Seeded corpora take their normals from `SeededNormals`, which draws its
+bits from Python's `random` module, so no run imports numpy.random.
 Physical-space integrals are Riemann sums with weight dx; by Parseval that
 matches the coefficient-space sums used for the Sobolev norms.
 
@@ -18,6 +20,7 @@ Nyquist last.  Each interior coefficient also stands for its conjugate at
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -256,9 +259,42 @@ def refine_values(values: np.ndarray) -> np.ndarray:
     return fine
 
 
+class SeededNormals:
+    """A seeded stream of standard normal doubles, with the one generator
+    method `random_band_limited_values` calls.
+
+    The bits come from Python's Mersenne Twister, `random.Random(seed)`,
+    which takes any int seed and which `import numpy` has already loaded.
+    Each pair of 53-bit uniforms u1, u2 in (0, 1] gives the two Box-Muller
+    normals sqrt(-2 ln u1) cos(2 pi u2) and sqrt(-2 ln u1) sin(2 pi u2), in
+    that order.  Successive calls continue one stream: a draw of an odd
+    count keeps its last pair's second normal for the next call, so draws
+    of a and then b values equal one draw of a + b.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = random.Random(seed)
+        self._spare = np.empty(0)
+
+    def standard_normal(self, shape) -> np.ndarray:
+        size = int(np.prod(shape))
+        pairs = max(size - self._spare.size + 1, 0) // 2
+        bits = np.frombuffer(self._bits.randbytes(16 * pairs), dtype="<u8")
+        # the top 53 bits plus one, so ln never sees 0
+        u = ((bits >> 11) + 1) * 2.0**-53
+        r = np.sqrt(-2.0 * np.log(u[0::2]))
+        theta = 2.0 * np.pi * u[1::2]
+        z = np.empty(2 * pairs)
+        z[0::2] = r * np.cos(theta)
+        z[1::2] = r * np.sin(theta)
+        z = np.concatenate((self._spare, z))
+        self._spare = z[size:].copy()
+        return z[:size].reshape(shape)
+
+
 def random_band_limited(
     grid: Grid1D,
-    rng: np.random.Generator,
+    rng: SeededNormals,
     frac: float = 1.0 / 3.0,
     decay: float = 2.0,
 ) -> RealField:
@@ -268,7 +304,7 @@ def random_band_limited(
 
 def random_band_limited_values(
     grid: Grid1D,
-    rng: np.random.Generator,
+    rng: SeededNormals,
     count: int,
     frac: float = 1.0 / 3.0,
     decay: float = 2.0,
@@ -277,9 +313,11 @@ def random_band_limited_values(
     |k| <= frac * k_Nyquist, each scaled to max|f| = 1.
 
     Coefficients get i.i.d. complex Gaussians shaped by (1+k^2)^{-decay/2};
-    used for test corpora where products must stay alias-free.  Each row
-    draws its real parts, then its imaginary parts, so the stack equals
-    `count` one-row draws from the same generator, bit for bit.
+    used for test corpora where products must stay alias-free.  `rng` is
+    anything with `standard_normal(shape)`: a `SeededNormals` in the
+    runners, a numpy Generator in tests.  Each row draws its real parts,
+    then its imaginary parts, so the stack equals `count` one-row draws
+    from the same generator, bit for bit.
     """
     g = grid
     kcut = frac * g.nyquist

@@ -542,7 +542,7 @@ class TestCli:
             # pi (n/2) / L is finite, but Grid1D's last wavenumber
             # 2 pi rfftfreq(n, dx) rounds up to inf
             ("simulate", "[grid]\nL = 1.1184441100129471e-306\nn = 128\n"),
-            # numpy's default_rng rejects a negative seed with a traceback
+            # seeds are >= 0: random.Random would fold -1 onto the stream of 1
             ("simulate", "[data]\nseed = -1\n"),
             ("picard", "[data]\nseed = -1\n"),
             ("besov-audit", "[corpus]\nseed = -1\n"),
@@ -982,7 +982,7 @@ cfg = config.load_config(path, kind)
 before = loaded()
 polynomial = "numpy.polynomial" in sys.modules
 code = experiments.run_experiment(kind, cfg, out)
-print(json.dumps([before, polynomial, loaded(), code]))
+print(json.dumps([before, polynomial, loaded(), code, "numpy.random" in sys.modules]))
 """
 
 
@@ -999,11 +999,13 @@ class TestStartup:
             timeout=120,
             check=True,
         )
-        before, polynomial, after, code = json.loads(proc.stdout)
+        before, polynomial, after, code, np_random = json.loads(proc.stdout)
         assert set(before) == STARTUP_MODULES
         assert not polynomial
         assert set(after) - set(before) == RUN_MODULES[kind]
         assert code == 0
+        # seeded corpora draw from fields.SeededNormals, not numpy's generator
+        assert not np_random
 
 
 class TestDeterminism:

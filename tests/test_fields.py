@@ -19,6 +19,7 @@ from gchlab.errors import ConfigError
 from gchlab.fields import (
     Grid1D,
     RealField,
+    SeededNormals,
     apply_one_minus_dxx,
     check_domain_decay,
     coefficient_power,
@@ -345,17 +346,63 @@ class TestStackedDraw:
     def test_matches_per_field_loop(self, n, count, frac):
         g = grid40(n)
         frac = 2.0 / n if frac == "2/n" else frac
-        for seed, decay in ((5, 2.0), (11, 0.0)):
-            stack = random_band_limited_values(g, np.random.default_rng(seed), count, frac, decay)
-            rng = np.random.default_rng(seed)
-            loop = np.array([draw_one(g, rng, frac, decay) for _ in range(count)])
-            assert np.array_equal(stack, loop)
+        for make in (np.random.default_rng, SeededNormals):
+            for seed, decay in ((5, 2.0), (11, 0.0)):
+                stack = random_band_limited_values(g, make(seed), count, frac, decay)
+                rng = make(seed)
+                loop = np.array([draw_one(g, rng, frac, decay) for _ in range(count)])
+                assert np.array_equal(stack, loop)
 
     def test_one_field_is_the_one_row_stack(self):
         g = grid40(256)
         f = random_band_limited(g, np.random.default_rng(3), frac=0.2, decay=1.0)
         stack = random_band_limited_values(g, np.random.default_rng(3), 1, 0.2, 1.0)
         assert np.array_equal(f.values, stack[0])
+
+
+class TestSeededNormals:
+    # the first two Box-Muller pairs; a change here re-draws every seeded corpus
+    @pytest.mark.parametrize(
+        "seed, first",
+        [
+            (0, [1.065591144534257, -0.8787863679839957, 2.4731358300624136,
+                 -0.5452313572258755]),
+            (2**70, [-0.3193042817223426, 0.02083673535919891, 0.6406938060842314,
+                     0.11373358733010328]),
+        ],
+    )
+    def test_golden_first_draws(self, seed, first):
+        np.testing.assert_allclose(SeededNormals(seed).standard_normal(4), first, rtol=1e-14)
+
+    def test_successive_draws_continue_one_stream(self):
+        s = SeededNormals(3)
+        parts = [s.standard_normal(3), s.standard_normal((2, 2)).ravel()]
+        assert np.array_equal(np.concatenate(parts), SeededNormals(3).standard_normal(7))
+        assert SeededNormals(3).standard_normal((2, 0)).shape == (2, 0)
+
+    def test_two_seeds_are_uncorrelated(self):
+        n = 10**4
+        a, b = SeededNormals(7).standard_normal(n), SeededNormals(8).standard_normal(n)
+        assert abs(np.corrcoef(a, b)[0, 1]) < 5.0 / math.sqrt(n)
+
+    def test_moments_are_standard_normal(self):
+        n = 10**5
+        z = SeededNormals(1).standard_normal(n)
+        assert np.all(np.isfinite(z))
+        # standard errors of the mean, variance and excess kurtosis
+        assert abs(z.mean()) < 5.0 / math.sqrt(n)
+        assert abs(z.var() - 1.0) < 5.0 * math.sqrt(2.0 / n)
+        kurt = np.mean((z - z.mean()) ** 4) / z.var() ** 2 - 3.0
+        assert abs(kurt) < 5.0 * math.sqrt(24.0 / n)
+
+    @pytest.mark.parametrize("byte", [0x00, 0xFF])
+    def test_extreme_bits_stay_finite(self, byte):
+        # all-zero bits give u = 2^-53 and all-one bits u = 1: ln(0) never occurs
+        s = SeededNormals(0)
+        s._bits.randbytes = lambda n: bytes([byte]) * n
+        z = s.standard_normal(6)
+        assert np.all(np.isfinite(z))
+        assert np.max(np.abs(z)) <= math.sqrt(2.0 * 53.0 * math.log(2.0))
 
 
 class TestLayerBoundary:
