@@ -279,15 +279,19 @@ class SeededNormals:
     def standard_normal(self, shape) -> np.ndarray:
         size = int(np.prod(shape))
         pairs = max(size - self._spare.size + 1, 0) // 2
-        bits = np.frombuffer(self._bits.randbytes(16 * pairs), dtype="<u8")
-        # the top 53 bits plus one, so ln never sees 0
-        u = ((bits >> 11) + 1) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u[0::2]))
-        theta = 2.0 * np.pi * u[1::2]
-        z = np.empty(2 * pairs)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        z = np.concatenate((self._spare, z))
+        bits = np.frombuffer(self._bits.randbytes(16 * pairs), dtype="<u8") >> 11
+        bits += 1  # the top 53 bits plus one, so ln never sees 0
+        z = bits * 2.0**-53
+        # each pair of uniforms turns into its two normals in place
+        r, theta = z[0::2], z[1::2]
+        np.sqrt(-2.0 * np.log(r), out=r)
+        theta *= 2.0 * np.pi
+        cos = np.cos(theta)
+        np.sin(theta, out=theta)
+        theta *= r
+        r *= cos
+        if self._spare.size:
+            z = np.concatenate((self._spare, z))
         self._spare = z[size:].copy()
         return z[:size].reshape(shape)
 
@@ -317,24 +321,37 @@ def random_band_limited_values(
     anything with `standard_normal(shape)`: a `SeededNormals` in the
     runners, a numpy Generator in tests.  Each row draws its real parts,
     then its imaginary parts, so the stack equals `count` one-row draws
-    from the same generator, bit for bit.
+    from the same generator, bit for bit.  The stack is one synthesis of
+    a (count, n//2 + 1) half spectrum; only its band is filled.
     """
     g = grid
     kcut = frac * g.nyquist
-    # draw on the full frequency list +-k, then fold each +k with the
-    # conjugate of its -k partner: the real part of the full inverse
-    # transform is the inverse of the folded half spectrum
-    k = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.dx)
-    ch = np.zeros((count, g.n), dtype=complex)
-    mask = (np.abs(k) <= kcut) & (k != 0.0)
-    z = rng.standard_normal((count, 2, int(mask.sum())))
-    ch.real[:, mask] = z[:, 0]
-    ch.imag[:, mask] = z[:, 1]
-    ch *= (1.0 + k**2) ** (-decay / 2.0)
     half = g.n // 2
-    folded = 0.5 * (ch[:, : half + 1] + np.conj(ch[:, -np.arange(half + 1)]))
-    folded[:, half] = 0.0
-    vals = synthesize(folded)
+    # the draw covers the +-k list in numpy's full-FFT order: the interior
+    # modes 0 < k <= kcut, then Nyquist if it is in the band, then their -k
+    # partners from the most negative up.  The half spectrum is the mean of
+    # each +k and the conjugate of its -k partner, so the real part of the
+    # full inverse transform is the inverse of the half spectrum; Nyquist
+    # stays 0.  grid.k and grid.h1 are |k| and 1 + k^2 on that list, bitwise
+    inner = int(np.count_nonzero(g.k[1:half] <= kcut))
+    width = 2 * inner + int(g.k[half] <= kcut)
+    z = rng.standard_normal((count, 2, width))
+    weight = g.h1[1 : inner + 1] ** (-decay / 2.0)
+    ch = np.zeros((count, half + 1), dtype=complex)
+    band = ch[:, 1 : inner + 1]
+    band.real, band.imag = z[:, 0, :inner], z[:, 1, :inner]
+    band *= weight
+    partner = np.empty_like(band)
+    flipped = z[:, :, ::-1]  # each -k partner at its +k mode's place
+    partner.real, partner.imag = flipped[:, 0, :inner], flipped[:, 1, :inner]
+    # each stack is freed once read, so the draw's peak is its half
+    # spectrum and the synthesis output
+    del z, flipped
+    partner *= weight
+    band += np.conj(partner, out=partner)
+    band *= 0.5
+    del partner
+    vals = synthesize(ch)
     m = lp_norms(g, vals, np.inf)[:, None]
     # times the reciprocal, not / m: the two round differently, and
     # seeded corpora keep their bits; an all-zero row stays zero

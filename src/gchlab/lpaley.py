@@ -2,11 +2,12 @@
 
 Besov norms have one implementation, `_block_norms` then `_besov_sum`, which
 works along the last axis of an array of spectra: `besov_norm` is its
-one-field case.  `inequality_audit` audits the whole corpus as one (count, n)
-stack for every requested audit in one call.  It refines the stack once,
-and on each grid it takes the corpus spectrum, its p = 2 block norms and its
-sup norms once for all the audits; the p != 2 block loop runs through one
-coefficient buffer and one grid buffer.
+one-field case.  `inequality_audit` audits the corpus for every requested
+audit in one call, in balanced row blocks of about BLOCK_NODES grid values
+so that its working set does not grow with the corpus.  It refines each
+block once, and on each grid it takes the block's spectrum, its p = 2 block
+norms and its sup norms once for all the audits; the p != 2 block loop runs
+through one coefficient buffer and one grid buffer.
 
 The partition uses the closed-form C^inf step built from exp(-1/x), with no
 table and nothing built at import: chi_b(xi) is 1 for |xi| <= 3/4, 0 for
@@ -195,6 +196,10 @@ class AuditReport:
 REFINE_BAND = 0.15
 INTERP_SLACK = 1e-12
 
+# grid values per audit block: a measured balance between the per-block
+# cost of small stacks and the working set of large ones
+BLOCK_NODES = 16384
+
 
 _AUDIT_DEFAULTS = {
     "embedding": {"s": 1.0, "p1": 2.0, "r1": 2.0, "p2": np.inf, "r2": np.inf},
@@ -208,14 +213,16 @@ _AUDIT_DEFAULTS = {
 def _audit_ratios(
     grid: Grid1D, values: np.ndarray, ids: dict[str, None]
 ) -> dict[str, np.ndarray]:
-    """lhs / rhs of each audit in ids for each row of a (count, n) stack.
+    """lhs / rhs of each audit in ids for each row of a (rows + 1, n) block
+    but the last, which is the neighbour row.
 
-    The corpus spectrum, its p = 2 block norms and its sup norms are taken
-    once and shared.  The bilinear audits pair row i with row i + 1 (the
-    last with the first) and share the spectrum of that product, which is
-    reduced at once to what they read: its p = 2 block norms for morse and
-    its lam^s for kato_ponce.  Only one stack besides the values and their
-    spectrum outlives this set-up.
+    The block's spectrum, its p = 2 block norms and its sup norms are taken
+    once and shared.  The bilinear audits pair row i with row i + 1, so the
+    neighbour row supplies the last kept row's g; they share the spectrum of
+    that product, which is reduced at once to what they read: its p = 2
+    block norms for morse and its lam^s for kato_ponce.  Only one stack
+    besides the values and their spectrum outlives this set-up.  The
+    neighbour row's own ratios are neither returned nor checked.
     """
     part = partition_for(grid)
     ch = spectrum(values)
@@ -269,6 +276,7 @@ def _audit_ratios(
             fx = synthesize(ch * grid.ik)
             lam = synthesize(ch * _bessel(grid, s - 1.0))
             rhs += lp_norms(grid, fx, np.inf) * np.roll(l2(lam), -1)
+        lhs, rhs = lhs[:-1], rhs[:-1]
         if np.any(rhs == 0.0):
             raise EstimationError(f"audit {which}: degenerate sample with zero bound")
         out[which] = lhs / rhs
@@ -278,10 +286,13 @@ def _audit_ratios(
 def inequality_audit(corpus: list[RealField], ids: Sequence[str]) -> list[AuditReport]:
     """Fit the sharpest constant observed for each textbook inequality in ids.
 
-    The corpus must share a grid, and is audited as one (count, n) stack.
-    A fitted constant is the max sample ratio, NaN if any ratio is NaN,
-    which fails the audit.  The stack is then upsampled once (2N) and every
-    constant refitted, and each report records refined/base.
+    The corpus must share a grid.  It is audited in balanced blocks of
+    consecutive fields, about BLOCK_NODES grid values each, so the working
+    set does not grow with the corpus: each block is stacked with one
+    neighbour row, the next field (the first after the last), audited,
+    upsampled once (2N) and audited again.  A fitted constant is the max
+    sample ratio, NaN if any ratio is NaN, which fails the audit, and each
+    report records the refitted constant on 2N over it (refined/base).
     The interpolation audit is a hard bound with constant exactly 1.
     """
     if not corpus:
@@ -292,11 +303,20 @@ def inequality_audit(corpus: list[RealField], ids: Sequence[str]) -> list[AuditR
     g0 = corpus[0].grid
     if any(f.grid.n != g0.n or f.grid.L != g0.L for f in corpus):
         raise ConfigError("audit corpus must share one grid")
-    values = np.array([f.values for f in corpus])
+    count = len(corpus)
+    fine_grid = Grid1D(g0.L, 2 * g0.n)
     once = dict.fromkeys(ids)  # a repeated id is audited once
-    base = _audit_ratios(g0, values, once)
-    values = refine_values(values)  # the N stack is not needed again
-    fine = _audit_ratios(Grid1D(g0.L, 2 * g0.n), values, once)
+    base = {which: np.empty(count) for which in once}
+    fine = {which: np.empty(count) for which in once}
+    n_blocks = min(count, -(-count * g0.n // BLOCK_NODES))
+    edges = [-(-b * count // n_blocks) for b in range(n_blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        values = np.array([f.values for f in corpus[lo:hi]] + [corpus[hi % count].values])
+        for which, r in _audit_ratios(g0, values, once).items():
+            base[which][lo:hi] = r
+        values = refine_values(values)  # the N block is not needed again
+        for which, r in _audit_ratios(fine_grid, values, once).items():
+            fine[which][lo:hi] = r
     reports = []
     for which in ids:
         ratios = base[which]

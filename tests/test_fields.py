@@ -339,7 +339,40 @@ def draw_one(grid, rng, frac, decay):
     return vals
 
 
+def draw_full_fold(grid, rng, count, frac, decay):
+    """A stack drawn on the full +-k frequency list and folded through a
+    conjugate copy of its -k half: the reference the half-spectrum draw
+    must reproduce bit for bit."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    ch = np.zeros((count, grid.n), dtype=complex)
+    mask = (np.abs(k) <= frac * grid.nyquist) & (k != 0.0)
+    z = rng.standard_normal((count, 2, int(mask.sum())))
+    ch.real[:, mask] = z[:, 0]
+    ch.imag[:, mask] = z[:, 1]
+    ch *= (1.0 + k**2) ** (-decay / 2.0)
+    half = grid.n // 2
+    folded = 0.5 * (ch[:, : half + 1] + np.conj(ch[:, -np.arange(half + 1)]))
+    folded[:, half] = 0.0
+    vals = np.fft.irfft(folded)
+    m = lp_norms(grid, vals, np.inf)[:, None]
+    vals *= np.divide(1.0, m, out=np.ones_like(m), where=m > 0)
+    return vals
+
+
 class TestStackedDraw:
+    # (16, 2, 1, 2) puts Nyquist inside the band: its normals are drawn and
+    # then dropped
+    @pytest.mark.parametrize(
+        "n, count, frac, decay",
+        [(512, 100, 0.33, 2.0), (64, 7, 1.0, 1.0), (1024, 3, 0.5, 3.0), (16, 2, 1.0, 2.0)],
+    )
+    def test_matches_full_spectrum_fold(self, n, count, frac, decay):
+        g = grid40(n)
+        for make in (np.random.default_rng, SeededNormals):
+            stack = random_band_limited_values(g, make(17), count, frac, decay)
+            ref = draw_full_fold(g, make(17), count, frac, decay)
+            assert stack.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("n", [64, 512, 4096])
     @pytest.mark.parametrize("count", [1, 3, 100])
     @pytest.mark.parametrize("frac", ["2/n", 0.33, 1.0])
