@@ -53,10 +53,26 @@ def momentum_coefficients(
     + 2(u + u_x)^2, where u = (1-dx^2)^{-1} m and mh = spectrum(m).  m may
     be one frame or a stack of frames along the first axis.
     """
-    u = synthesize(mh * grid.helm)
-    ux = synthesize(mh * grid.helm * grid.ik)
-    upx = u + ux
-    return 2.0 * ux - 4.0 * u, 2.0 * m * m + (8.0 * ux - 4.0 * u) * m + 2.0 * upx * upx
+    uh = mh * grid.helm
+    u = synthesize(uh)
+    uh *= grid.ik
+    ux = synthesize(uh)
+    # in place, with the written forms' operations in their order of
+    # evaluation, so the bits are the written forms'
+    four_u = 4.0 * u
+    vel = 2.0 * ux
+    vel -= four_u
+    src = 2.0 * m
+    src *= m
+    term = 8.0 * ux
+    term -= four_u
+    term *= m
+    src += term
+    u += ux  # u + u_x
+    np.multiply(2.0, u, out=term)
+    term *= u
+    src += term
+    return vel, src
 
 
 class _Kernel:

@@ -72,6 +72,11 @@ class DyadicPartition:
 
     j_max: int
     multipliers: np.ndarray = dfield(repr=False)
+    # the Parseval weights of the p = 2 block norms, squared once per grid
+    squares: np.ndarray = dfield(init=False, repr=False)
+
+    def __post_init__(self):
+        self.squares = self.multipliers**2
 
     def mult(self, j: int) -> np.ndarray:
         if j < -1 or j > self.j_max:
@@ -143,7 +148,7 @@ def _block_norms(
     axis: a (count, n//2 + 1) stack of spectra gives a (count, blocks) array."""
     if p == 2.0:
         # Parseval per block, no inverse transforms needed
-        return np.sqrt(coefficient_power(grid, ch) @ (part.multipliers**2).T)
+        return np.sqrt(coefficient_power(grid, ch) @ part.squares.T)
     # one block of the whole stack at a time, through one coefficient buffer
     # and one grid buffer: a fresh stack per block faults in fresh pages
     block = np.empty_like(ch)

@@ -10,10 +10,11 @@ in dx), plus an interpolation error that builds up with the number of
 output slices.
 
 The cubics are held as tables: the power-form coefficients of each cell's
-cubic, built once per field (for `TimeSlices`, once for all its frames, on
-first sample).  A sample then costs one gather of four coefficients and
-three Horner steps per point; a time between slices blends two tables once
-and reuses the blend for every sample at that time.
+cubic, built once per field (for `TimeSlices`, per frame, the first time a
+sample needs that frame, with at most three frames' tables held).  A sample
+then costs one gather of four coefficients and three Horner steps per
+point; a time between slices blends two tables once and reuses the blend
+for every sample at that time.
 
 The Picard ladder freezes velocity and source from the previous iterate of
 the momentum equation and transports against them; contraction of the
@@ -86,11 +87,14 @@ class TimeSlices:
 
     The frames are a read-only copy.  Sampling at the grid nodes themselves
     (the grid's own `x` array) returns the frame at t.  Sampling at other
-    points builds the coefficient table of every frame on first use and
-    blends the tables of the two neighbouring slices; the last (t, blended
-    table) is memoized, since an RK4 backtrace samples each time twice.  At
-    a slice time, or outside the slice range, the blend is that slice's
-    frame or table itself.
+    points builds the coefficient table of a frame the first time a sample
+    needs it and blends the tables of the two neighbouring slices; the last
+    (t, blended table) is memoized, since an RK4 backtrace samples each
+    time twice.  At a slice time, or outside the slice range, the blend is
+    that slice's frame or table itself.  At most three tables are held, so
+    a walk through the slices in order builds each table once, even when
+    its RK4 times land a rounding error below a slice; a walk that comes
+    back to a dropped slice builds its table again, with the same bits.
     """
 
     def __init__(self, grid: Grid1D, times: np.ndarray, frames: np.ndarray):
@@ -109,33 +113,50 @@ class TimeSlices:
         self.grid = grid
         self.times = times
         self.frames = frames
-        self._tables: np.ndarray | None = None
+        self._tables: dict[int, np.ndarray] = {}
         self._last: tuple[float, np.ndarray] | None = None
 
-    def _blend(self, stack: np.ndarray, t: float) -> np.ndarray:
-        """Linear blend in t along the slice axis (second to last) of stack."""
+    def _bracket(self, t: float) -> tuple[int, float | None]:
+        """The slice j that t blends from, and t's fraction of the way to
+        slice j + 1; the fraction is None at a slice time and outside the
+        slice range, where t takes slice j alone."""
         ts = self.times
         if len(ts) == 1 or t <= ts[0]:
-            return stack[..., 0, :]
+            return 0, None
         if t >= ts[-1]:
-            return stack[..., -1, :]
+            return len(ts) - 1, None
         j = int(np.searchsorted(ts, t, side="right")) - 1
         if t == ts[j]:
-            return stack[..., j, :]
-        th = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return (1.0 - th) * stack[..., j, :] + th * stack[..., j + 1, :]
+            return j, None
+        return j, (t - ts[j]) / (ts[j + 1] - ts[j])
+
+    def _table(self, j: int) -> np.ndarray:
+        """The cubic table of frame j, built on first use; of three held
+        tables, the one farthest from j makes way for it."""
+        tab = self._tables.get(j)
+        if tab is None:
+            if len(self._tables) == 3:
+                del self._tables[max(self._tables, key=lambda i: abs(i - j))]
+            tab = self._tables[j] = _cubic_table(self.frames[j])
+        return tab
 
     def at(self, t: float) -> np.ndarray:
-        return self._blend(self.frames, t)
+        j, th = self._bracket(t)
+        if th is None:
+            return self.frames[j]
+        return (1.0 - th) * self.frames[j] + th * self.frames[j + 1]
 
     def __call__(self, t: float, xq: np.ndarray) -> np.ndarray:
         if xq is self.grid.x:
             return self.at(t)
         last = self._last
         if last is None or last[0] != t:
-            if self._tables is None:
-                self._tables = _cubic_table(self.frames)
-            last = (t, self._blend(self._tables, t))
+            j, th = self._bracket(t)
+            if th is None:
+                tab = self._table(j)
+            else:
+                tab = (1.0 - th) * self._table(j) + th * self._table(j + 1)
+            last = (t, tab)
             self._last = last
         return _cubic_eval(last[1], self.grid, xq)
 
@@ -186,8 +207,8 @@ def solve_transport(
     Velocity and source given as `TimeSlices` are sampled from their cubic
     tables: per RK4 step two table blends for the velocity (k2 and k3 share
     one time, and k4 shares the next step's k1) and one for the source, then
-    one gather and Horner pass per sample, about 18 ns per point at n = 1024
-    (2-core x86_64, numpy 2.4.6).
+    one gather and Horner pass per sample.  The intervals run in order, so
+    each frame's table is built once.
 
     The price is interpolation error that builds up with the number of
     slices, which `n_slices` sets in the picard config.  Measured final-
@@ -396,9 +417,12 @@ def picard_run(
     d: list[float] = []
     sups: list[float] = [m0_norm]
     for it in range(1, n_iter + 1):
-        vel, src = momentum_coefficients(g, prev.frames, spectrum(prev.frames))
+        # no name holds the raw stacks, so they go once the slices copy them
+        velocity, source = (
+            TimeSlices(g, times, c)
+            for c in momentum_coefficients(g, prev.frames, spectrum(prev.frames))
+        )
         f0 = low_cutoff(m0, it)
-        velocity, source = TimeSlices(g, times, vel), TimeSlices(g, times, src)
         if it == 1:
             k, step_estimate = _steps_by_doubling(
                 f0.values, g, velocity, source, times[0], times[1], cap

@@ -109,6 +109,21 @@ class TestRhsForms:
             assert np.max(np.abs(vel[i] - v1)) <= 1e-14 * np.max(np.abs(v1))
             assert np.max(np.abs(src[i] - s1)) <= 1e-14 * np.max(np.abs(s1))
 
+    def test_momentum_coefficients_keep_the_written_forms_bits(self):
+        # built in place, in the order the written forms evaluate
+        g = Grid1D(20.0, 1024)
+        rng = np.random.default_rng(71)
+        stack = np.array([random_band_limited(g, rng).values for _ in range(3)])
+        for m in (stack, stack[1]):
+            mh = spectrum(m)
+            u = synthesize(mh * g.helm)
+            ux = synthesize(mh * g.helm * g.ik)
+            upx = u + ux
+            vel, src = momentum_coefficients(g, m, mh)
+            assert vel.tobytes() == (2.0 * ux - 4.0 * u).tobytes()
+            expect = 2.0 * m * m + (8.0 * ux - 4.0 * u) * m + 2.0 * upx * upx
+            assert src.tobytes() == expect.tobytes()
+
     def test_m_form_step_matches_spectral_step(self):
         # the state map u -> m is linear, so RK4 commutes with it: the
         # spectral step equals grid RK4 of the momentum form in m = (1-dx^2)u

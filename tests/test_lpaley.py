@@ -263,6 +263,19 @@ class TestGridPartition:
                 assert np.array_equal(low_cutoff(f, j).values, ref)
         assert list(lpaley._partition_cache) == [(13.0, 128)]
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_squared_multipliers_keep_the_block_norms_bits(self, n):
+        # the partition squares its multipliers once; squaring them at every
+        # p = 2 call is the reference, for one row and for stacks
+        g = Grid1D(20.0, n)
+        part = build_partition(g)
+        assert part.squares.tobytes() == (part.multipliers**2).tobytes()
+        rng = np.random.default_rng(n)
+        stack = np.array([random_band_limited(g, rng).values for _ in range(17)])
+        for ch in (spectrum(stack[0]), spectrum(stack[:7]), spectrum(stack)):
+            ref = np.sqrt(fields.coefficient_power(g, ch) @ (part.multipliers**2).T)
+            assert lpaley._block_norms(g, ch, 2.0, part).tobytes() == ref.tobytes()
+
 
 @pytest.fixture(scope="module")
 def corpus():
