@@ -2,12 +2,15 @@
 
 Besov norms have one implementation, `_block_norms` then `_besov_sum`, which
 works along the last axis of an array of spectra: `besov_norm` is its
-one-field case.  `inequality_audit` audits the corpus for every requested
-audit in one call, in balanced row blocks of about BLOCK_NODES grid values
-so that its working set does not grow with the corpus.  It refines each
-block once, and on each grid it takes the block's spectrum, its p = 2 block
-norms and its sup norms once for all the audits; the p != 2 block loop runs
-through one coefficient buffer and one grid buffer.
+one-field case.  The p = 2 block norms are one `np.einsum`, numpy's own
+loop with no BLAS call, so a row's bits do not depend on the stack: not on
+the rows beside it, its place or where the heap put it.  `inequality_audit`
+audits the corpus for every requested audit in one call, in balanced row
+blocks of about BLOCK_NODES grid values so that its working set does not
+grow with the corpus.  It refines each block once, and on each grid it
+takes the block's spectrum, its p = 2 block norms and its sup norms once
+for all the audits; the p != 2 block loop runs through one coefficient
+buffer and one grid buffer.
 
 The partition uses the closed-form C^inf step built from exp(-1/x), with no
 table and nothing built at import: chi_b(xi) is 1 for |xi| <= 3/4, 0 for
@@ -147,8 +150,9 @@ def _block_norms(
     """||Delta_j f||_p for every block j, from the spectrum along the last
     axis: a (count, n//2 + 1) stack of spectra gives a (count, blocks) array."""
     if p == 2.0:
-        # Parseval per block, no inverse transforms needed
-        return np.sqrt(coefficient_power(grid, ch) @ part.squares.T)
+        # Parseval per block, no inverse transforms needed; einsum, not a
+        # BLAS product, so each row has its one-row bits
+        return np.sqrt(np.einsum("...j,kj->...k", coefficient_power(grid, ch), part.squares))
     # one block of the whole stack at a time, through one coefficient buffer
     # and one grid buffer: a fresh stack per block faults in fresh pages
     block = np.empty_like(ch)

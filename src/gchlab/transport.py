@@ -92,9 +92,9 @@ class TimeSlices:
     (t, blended table) is memoized, since an RK4 backtrace samples each
     time twice.  At a slice time, or outside the slice range, the blend is
     that slice's frame or table itself.  At most three tables are held, so
-    a walk through the slices in order builds each table once, even when
-    its RK4 times land a rounding error below a slice; a walk that comes
-    back to a dropped slice builds its table again, with the same bits.
+    a walk through the slices in order builds each table once; a walk that
+    comes back to a dropped slice builds its table again, with the same
+    bits.
     """
 
     def __init__(self, grid: Grid1D, times: np.ndarray, frames: np.ndarray):
@@ -173,14 +173,16 @@ def _trace_interval(frame, g: Grid1D, velocity, source, t0: float, t1: float, ns
     acc = np.zeros(g.n)
     s_here = source(t1, x) if source is not None else None
     t = t1
-    for _ in range(nst):
-        # RK4 for dx/dt = v along the reversed path
+    for i in range(nst):
+        # RK4 for dx/dt = v along the reversed path; the last step ends on
+        # t0 itself, where a sum of steps could land a rounding error off
+        t_end = t0 if i == nst - 1 else t - h
         k1 = velocity(t, x)
         k2 = velocity(t - 0.5 * h, x - 0.5 * h * k1)
         k3 = velocity(t - 0.5 * h, x - 0.5 * h * k2)
-        k4 = velocity(t - h, x - h * k3)
+        k4 = velocity(t_end, x - h * k3)
         x = wrap(x - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), g.L)
-        t -= h
+        t = t_end
         if source is not None:
             s_prev = source(t, x)
             acc += 0.5 * h * (s_here + s_prev)

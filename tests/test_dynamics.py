@@ -433,3 +433,14 @@ class TestMonitors:
         slopes = np.diff(B) / np.diff(tt)
         assert np.max(slopes) / np.min(slopes) < 1.1
 
+    def test_accumulator_converges_where_curvature_varies(self):
+        # sup |u_xx| of a steepening Gaussian grows over the run, so B(T)
+        # summed at every step of dt = 0.02 must agree with dt = 0.0025: the
+        # trapezoid rule reads 1.5e-4 apart, left rectangles 2.1e-2
+        u0 = gaussian(Grid1D(20.0, 512), A=0.3, width=1.0)
+        coarse, fine = (
+            evolve(u0, SolverConfig(T=1.0, dt=dt, monitor_every=1)).B[-1]
+            for dt in (0.02, 0.0025)
+        )
+        assert coarse == pytest.approx(fine, rel=1e-3)
+

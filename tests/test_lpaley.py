@@ -263,18 +263,30 @@ class TestGridPartition:
                 assert np.array_equal(low_cutoff(f, j).values, ref)
         assert list(lpaley._partition_cache) == [(13.0, 128)]
 
-    @pytest.mark.parametrize("n", [256, 1024])
-    def test_squared_multipliers_keep_the_block_norms_bits(self, n):
-        # the partition squares its multipliers once; squaring them at every
-        # p = 2 call is the reference, for one row and for stacks
+    @pytest.mark.parametrize("n", [64, 512, 1024])
+    def test_a_row_keeps_its_block_norms_bits_in_any_stack(self, monkeypatch, n):
+        # each row of a stacked p = 2 call has the bits of its one-row call,
+        # whatever the row count, the row's place and the heap offset of the
+        # Parseval power (placed 0-7 doubles into a larger buffer)
         g = Grid1D(20.0, n)
         part = build_partition(g)
         assert part.squares.tobytes() == (part.multipliers**2).tobytes()
-        rng = np.random.default_rng(n)
-        stack = np.array([random_band_limited(g, rng).values for _ in range(17)])
-        for ch in (spectrum(stack[0]), spectrum(stack[:7]), spectrum(stack)):
-            ref = np.sqrt(fields.coefficient_power(g, ch) @ (part.multipliers**2).T)
-            assert lpaley._block_norms(g, ch, 2.0, part).tobytes() == ref.tobytes()
+        stack = spectrum(random_band_limited_values(g, SeededNormals(n), 101))
+        rows = [lpaley._block_norms(g, ch, 2.0, part) for ch in stack]
+        power = fields.coefficient_power
+        for offset in range(8):
+
+            def shifted(grid, ch, offset=offset):
+                p = power(grid, ch)
+                buf = np.empty(p.size + offset)[offset:].reshape(p.shape)
+                buf[...] = p
+                return buf
+
+            monkeypatch.setattr(lpaley, "coefficient_power", shifted)
+            for count in (1, 7, 26, 101):
+                got = lpaley._block_norms(g, stack[:count], 2.0, part)
+                for i in range(count):
+                    assert got[i].tobytes() == rows[i].tobytes(), (offset, count, i)
 
 
 @pytest.fixture(scope="module")
@@ -334,7 +346,10 @@ def per_field_ratios(corpus, which, params):
         elif which == "interpolation":
             th, s1, s2 = params["theta"], params["s1"], params["s2"]
             lhs = besov_norm(f, th * s1 + (1.0 - th) * s2)
-            rhs = besov_norm(f, s1) ** th * besov_norm(f, s2) ** (1.0 - th)
+            # numpy's power, as the audit takes it, not Python's: the two can
+            # differ in the last bit
+            b1, b2 = np.array([besov_norm(f, s1)]), np.array([besov_norm(f, s2)])
+            rhs = (b1**th * b2 ** (1.0 - th))[0]
         elif which == "algebra":
             lhs = besov_norm(RealField(f.grid, f.values**2), s)
             rhs = 2.0 * lp_norm(f, math.inf) * besov_norm(f, s)
@@ -365,8 +380,10 @@ class TestStackedAudit:
         fine = per_field_ratios(
             [RealField(g2, refine_values(f.values)) for f in corpus], aid, params
         )
-        np.testing.assert_allclose(rep.ratios, base, rtol=1e-13, atol=0.0)
-        assert rep.refinement_ratio == pytest.approx(max(fine) / max(base), rel=1e-13)
+        # bitwise: the reference takes the same numpy operations one row at a
+        # time, and a row's block norms do not depend on the stack
+        assert rep.ratios == base.tolist()
+        assert rep.refinement_ratio == max(fine) / max(base)
 
     def test_one_call_matches_one_audit_per_call(self, corpus):
         # the shared per-grid stacks must not carry one audit into another,
@@ -434,12 +451,6 @@ class TestAuditBlocks:
     """The corpus is audited in balanced blocks of consecutive fields, each
     stacked with the next field as its neighbour row."""
 
-    # Not bitwise: the p = 2 block norms are an OpenBLAS matrix product whose
-    # last bit depends on a row's place in the stack (ROADMAP, "Besov bits
-    # depend on heap alignment").  The largest gap seen over seeds 0-5 and
-    # counts 1-101 was 3.7e-16 relative.
-    RTOL = 1e-15
-
     @pytest.mark.parametrize("count", [1, 2, 25, 26, 101])
     @pytest.mark.parametrize(
         "ids",
@@ -460,11 +471,7 @@ class TestAuditBlocks:
         assert [r.audit_id for r in ref] == list(ids)
         for got in reports.values():
             for a, b in zip(got, ref):
-                assert a.audit_id == b.audit_id and a.passed == b.passed
-                np.testing.assert_allclose(a.ratios, b.ratios, rtol=self.RTOL, atol=0.0)
-                for name in ("fitted_constant", "refinement_ratio"):
-                    x, y = getattr(a, name), getattr(b, name)
-                    assert x == pytest.approx(y, rel=self.RTOL, abs=0.0)
+                assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
     @pytest.mark.parametrize("aid", AUDIT_IDS)
     @pytest.mark.parametrize("zero", [0, 2])
@@ -547,9 +554,8 @@ class TestAuditRun:
         assert peaks[1] - peaks[0] <= 300 * (8 * grid.n + 2048)
 
     def test_series_does_not_depend_on_heap_layout(self, defaults):
-        # the blocks are small enough to live on the heap, where the p = 2
-        # block norms' matrix product could see them at any alignment; odd
-        # allocations held between runs move where the next run's land
+        # the blocks are small enough to live on the heap, at any alignment;
+        # odd allocations held between runs move where the next run's land
         cfg, grid = defaults
         first = experiments.run_besov_audit(cfg, grid).files["series.csv"]
         held = []

@@ -156,9 +156,7 @@ class TestTimeSlices:
             assert len(ts._tables) <= 3
 
     def test_an_ordered_walk_builds_each_table_once(self, monkeypatch):
-        # three RK4 steps per interval end a rounding error off the earlier
-        # slice, at some intervals below it, where they blend from the
-        # slice before; that table must still be held
+        # three RK4 steps per interval, whose midpoints blend two slices
         g = Grid1D(math.pi, 128)
         times = np.linspace(0.0, 1.0, 17)
         vel = TimeSlices(g, times, 0.5 + 0.1 * np.sin(g.x + times[:, None]))
@@ -178,6 +176,29 @@ class TestTimeSlices:
         for ts in (vel, src):
             assert built[id(ts)] == list(range(len(times)))
             assert len(ts._tables) <= 3
+
+    def test_each_interval_ends_on_its_slice(self):
+        # three RK4 steps do not sum to an interval exactly; its last
+        # velocity and source samples must still read the earlier slice
+        g = Grid1D(math.pi, 64)
+        times = np.linspace(0.0, 1.0, 17)
+        seen = {"velocity": [], "source": []}
+
+        def velocity(t, x):
+            seen["velocity"].append(t)
+            return 0.5 + 0.1 * np.sin(x + t)
+
+        def source(t, x):
+            seen["source"].append(t)
+            return np.cos(x - t)
+
+        solve_transport(RealField(g, np.sin(g.x)), velocity, 0.02, times[1:], source)
+        # per interval: four velocity stages and one source sample a step,
+        # plus the source at the later slice
+        for name, per_interval in (("velocity", 12), ("source", 4)):
+            t = np.reshape(seen[name], (len(times) - 1, per_interval))
+            assert t[:, 0].tolist() == times[1:].tolist()
+            assert t[:, -1].tolist() == times[:-1].tolist()
 
     def test_shape_and_order_validation(self):
         g = Grid1D(math.pi, 64)
