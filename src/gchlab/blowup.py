@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EstimationError
-from .fields import RealField, sobolev_norm, spectrum, synthesize
+from .fields import RealField, line_fit, sobolev_norm, spectrum, synthesize
 from .dynamics import refined_min
 
 RICCATI_REL_STEP = 5e-3
@@ -156,7 +156,7 @@ def estimate_blowup_time(
     if not np.all(np.diff(y) < 0):
         raise EstimationError("curvature minimum is not decreasing on the window")
     recip = 1.0 / y
-    b, a = np.polyfit(t, recip, 1)
+    b, a = line_fit(t, recip)
     if b <= 0:
         raise EstimationError(f"reciprocal slope b={b:.3g} not positive")
     resid = recip - (a + b * t)
@@ -188,7 +188,7 @@ def rate_report(times, curvature_min, slope_min, T_est: float, window: int) -> R
         raise EstimationError("window reaches past the estimated time")
     cprod = cm * gap
     sprod = np.abs(sm * gap)
-    trend = float(np.polyfit(t, sprod, 1)[0])
+    trend = line_fit(t, sprod)[0]
     return RateReport(cprod, float(np.mean(cprod)), trend, trend < 0.0)
 
 

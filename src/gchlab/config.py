@@ -136,7 +136,8 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
                 f"0 (the CFL policy) or > 0 with [run] T / dt <= {MAX_STEPS}",
             ),
             "monitor_every": ("int", 10, lambda v, _: v >= 1, ">= 1"),
-            "tail_threshold": ("float", 1e-3),
+            # a share of the band's H^1 density; at 1 the tail never stops a run
+            "tail_threshold": ("float", 1e-3, lambda v, _: 0 < v <= 1, "in (0, 1]"),
         },
         "data": {
             "kind": (
@@ -212,7 +213,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             # into the a-priori-bound checks
             "cfl_sigma": ("float", 0.05, lambda v, _: 0 < v <= 1, "in (0, 1]"),
             "monitor_every": ("int", 1, lambda v, _: v >= 1, ">= 1"),
-            "tail_threshold": ("float", 1e-4),
+            "tail_threshold": ("float", 1e-4, lambda v, _: 0 < v <= 1, "in (0, 1]"),
         },
         "data": {
             "amplitude": ("float", 0.5),

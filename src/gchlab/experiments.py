@@ -32,6 +32,7 @@ from .fields import (
     SeededNormals,
     apply_one_minus_dxx,
     helmholtz_inverse,
+    line_fit,
     lp_norm,
     lp_norms,
     random_band_limited,
@@ -380,9 +381,7 @@ def run_transport_test(cfg: dict, grid: Grid1D) -> Outcome:
         err = s.frames[0] - np.sin(grid.x - math.sin(T))
         errs.append(float(lp_norms(grid, err, np.inf)))
         dts.append(dt)
-    order = float(
-        np.polyfit(np.log2(dts), np.log2(np.maximum(errs, 1e-300)), 1)[0]
-    )
+    order = line_fit(np.log2(dts), np.log2(np.maximum(errs, 1e-300)))[0]
 
     acfg = cfg["audit"]
     vel, datum = random_band_limited_values(grid, SeededNormals(acfg["seed"]), 2)

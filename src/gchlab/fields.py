@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, EstimationError
 
 # |f(+-L)| above this fraction of max|f| means the field does not decay
 # inside the box and periodic results stop meaning anything.  A loose
@@ -117,6 +117,24 @@ def wrap(x, L: float):
     period = 2.0 * L
     y = np.asarray(x) + L
     return y - period * np.floor(y / period) - L
+
+
+def line_fit(x, y) -> tuple[float, float]:
+    """Least-squares line y ~ intercept + slope x: (slope, intercept).
+
+    The two-pass centred form (Chan, Golub & LeVeque, Amer. Statist. 37
+    (1983) 242): slope = sum dx (y - ybar) / sum dx^2 with dx = x - xbar,
+    and intercept = ybar - slope xbar.  Elementwise numpy only, so no fit
+    calls BLAS or LAPACK.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size < 2 or np.all(x == x[0]):
+        raise EstimationError("a line fit needs two distinct abscissae")
+    xbar, ybar = np.mean(x), np.mean(y)
+    dx = x - xbar
+    slope = np.sum(dx * (y - ybar)) / np.sum(dx * dx)
+    return float(slope), float(ybar - slope * xbar)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fields import Grid1D, RealField, wrap
+from .fields import Grid1D, RealField, line_fit, wrap
 
 BUMP_EDGE_TOL = 1e-12
 # weak_residual evaluates its time lines in blocks of about this many
@@ -231,5 +231,5 @@ def refinement_study(
         res.append(weak_residual(provider, phi, T, nx0 * f, nt0 * f, crest_split))
     y = np.log2(np.maximum(res, 1e-300))
     lv = np.arange(levels, dtype=float)
-    slope = float(np.polyfit(lv, y, 1)[0])
+    slope = line_fit(lv, y)[0]
     return RefinementStudy(ns, res, -slope)

@@ -125,6 +125,17 @@ class TestEstimation:
         est = estimate_blowup_time(t, cm, window=20, ceiling=-100.0)
         assert est.T_est == pytest.approx(T, rel=1e-8)
 
+    def test_fit_reads_only_the_last_window(self):
+        # the last 20 of 40 samples lie on 1/min u_xx = b (t - T); the first
+        # 20 sit up to 1% off it, so a window that reaches back even one
+        # sample misses T (a window 5 samples early reads 7.5e-4 relative)
+        T, b = 6.25e-4, 2.0
+        t = 1.5e-5 * np.arange(40)
+        cm = 1.0 / (b * (t - T))
+        cm[:20] *= 1.0 + 0.01 * np.sin(np.arange(20))
+        est = estimate_blowup_time(t, cm, window=20, ceiling=-1.0)
+        assert est.T_est == pytest.approx(T, rel=1e-12)
+
     def test_short_window_rejected(self):
         t, cm = self.synth()
         with pytest.raises(EstimationError):

@@ -550,6 +550,11 @@ class TestCli:
             # rate_report needs three samples; this used to fail after the evolve
             ("blowup-study", "[estimate]\nwindow = 0\n"),
             ("blowup-study", "[estimate]\nwindow = 2\n"),
+            # the tail share is in (0, 1]: these stopped after one step and
+            # exited 1 with no T_est
+            ("blowup-study", "[run]\ntail_threshold = 0.0\n"),
+            ("blowup-study", "[run]\ntail_threshold = -1.0\n"),
+            ("simulate", "[run]\ntail_threshold = 1.0000000000000002\n"),
             # the top dyadic weight 2^((s + 2) 8) of the velocity norm squares
             # past the largest double: this passed with fitted_C 4.8e-141
             ("transport-test", "[audit]\ns = 64.0\n"),
@@ -814,8 +819,9 @@ class TestRunContract:
         json.dumps(experiments.RUNNERS[kind](cfg, grid).body)
 
     def test_early_stop_never_passes(self, tmp_path, capsys):
-        # a tail threshold below zero stops the run at its first monitored step
-        text = "[grid]\nn = 256\n[run]\ntail_threshold = -1.0\n"
+        # the least accepted tail threshold stops the run at its first
+        # monitored step
+        text = "[grid]\nn = 256\n[run]\ntail_threshold = 5e-324\n"
         path = write(tmp_path, "s.cfg", text)
         out = tmp_path / "o"
         assert main(["simulate", "--config", path, "--out", str(out)]) == 1
@@ -826,14 +832,14 @@ class TestRunContract:
 
     # A tall bump with a huge fixed step: at T = 2 the state itself leaves
     # floating point; at T = 1 it stays finite (about 1e200) but its energy
-    # overflows.
+    # overflows.  A tail threshold of 1 keeps the resolution stop out of it.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "T", [pytest.param(2.0, id="spectral_form"), pytest.param(1.0, id="spectral_form-T1")]
     )
     def test_nonfinite_state_fails_cleanly(self, tmp_path, capsys, T):
         text = (
-            f"[grid]\nn = 256\n[run]\nT = {T}\ndt = 0.5\ntail_threshold = 2.0\n"
+            f"[grid]\nn = 256\n[run]\nT = {T}\ndt = 0.5\ntail_threshold = 1.0\n"
             "[data]\namplitude = 5.0\n"
         )
         path = write(tmp_path, "nf.cfg", text)
@@ -986,6 +992,36 @@ print(json.dumps([before, polynomial, loaded(), code, "numpy.random" in sys.modu
 """
 
 
+# Resident KiB of the mappings whose path names BLAS or LAPACK (numpy's
+# OpenBLAS), before and after runs that reach every line fit of the lab:
+# blowup-study's two (its default run breaks down), peakon-verify's order
+# and transport-test's.  The first BLAS or LAPACK call maps about 1 MB more.
+BLAS_PROBE = """
+import json, re, sys
+import numpy
+from gchlab import config, experiments
+
+def resident_kib():
+    total, hit = None, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            if re.match(r"[0-9a-f]+-[0-9a-f]+ ", line):
+                parts = line.split(maxsplit=5)
+                hit = len(parts) == 6 and re.search("blas|lapack", parts[5], re.I)
+            elif hit and line.startswith("Rss:"):
+                total = (total or 0) + int(line.split()[1])
+    return total
+
+runs = json.loads(sys.argv[1])
+before = resident_kib()
+codes = [
+    experiments.run_experiment(kind, config.parse_config(text, kind), out)
+    for kind, text, out in runs
+]
+print(json.dumps([before, resident_kib(), codes]))
+"""
+
+
 class TestStartup:
     @pytest.mark.parametrize("kind", KINDS)
     def test_run_loads_only_its_runners_modules(self, tmp_path, kind):
@@ -1006,6 +1042,30 @@ class TestStartup:
         assert code == 0
         # seeded corpora draw from fields.SeededNormals, not numpy's generator
         assert not np_random
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/smaps")
+    def test_runs_reach_no_blas_or_lapack(self, tmp_path):
+        runs = [
+            ("blowup-study", "", str(tmp_path / "b")),
+            ("peakon-verify", SMALL["peakon-verify"], str(tmp_path / "p")),
+            ("transport-test", SMALL["transport-test"], str(tmp_path / "t")),
+        ]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gchlab.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE, json.dumps(runs)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        before, after, codes = json.loads(proc.stdout)
+        assert codes == [0, 0, 0]
+        study = json.loads((tmp_path / "b" / "report.json").read_text())["study"]
+        assert study["T_est"] is not None and study["window_mean"] is not None
+        if before is None:
+            pytest.skip("numpy maps no library whose path names BLAS or LAPACK")
+        assert after <= before
 
 
 class TestDeterminism:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gchlab
-from gchlab.errors import ConfigError
+from gchlab.errors import ConfigError, EstimationError
 from gchlab.fields import (
     Grid1D,
     RealField,
@@ -25,6 +25,7 @@ from gchlab.fields import (
     coefficient_power,
     green_convolve,
     helmholtz_inverse,
+    line_fit,
     lp_norm,
     lp_norms,
     periodized_kernel,
@@ -438,6 +439,43 @@ class TestSeededNormals:
         assert np.max(np.abs(z)) <= math.sqrt(2.0 * 53.0 * math.log(2.0))
 
 
+class TestLineFit:
+    @pytest.mark.parametrize(
+        "x",
+        [np.arange(5.0), 6e-4 + 2e-6 * np.arange(20)],
+        ids=["unit-steps", "blowup-window"],
+    )
+    def test_recovers_an_exact_line(self, x):
+        slope, intercept = -2.5e3, 3.0
+        got = line_fit(x, intercept + slope * x)
+        assert got[0] == pytest.approx(slope, rel=1e-12)
+        assert got[1] == pytest.approx(intercept, rel=1e-12)
+
+    @LAYER
+    @given(
+        data=st.data(),
+        x=st.lists(st.integers(-1000, 1000), min_size=3, max_size=50, unique=True),
+        a=st.floats(-1e3, 1e3),
+        b=st.floats(-1e3, 1e3),
+    )
+    def test_agrees_with_polyfit(self, data, x, a, b):
+        # numpy's least-squares fit is the oracle here only; src never calls it
+        x = np.array(x) / 8.0
+        noise = data.draw(arrays(np.float64, x.size, elements=st.floats(-1.0, 1.0)))
+        y = a + b * x + noise
+        slope, intercept = line_fit(x, y)
+        ref_slope, ref_intercept = np.polyfit(x, y, 1)
+        scale = np.max(np.abs(y))
+        assert abs(slope - ref_slope) <= 1e-9 * (abs(ref_slope) + scale / np.ptp(x))
+        assert abs(intercept - ref_intercept) <= 1e-9 * (abs(ref_intercept) + scale)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [[], [2.0], [0.1, 0.1, 0.1]])
+    def test_needs_two_distinct_abscissae(self, x):
+        with pytest.raises(EstimationError, match="two distinct abscissae"):
+            line_fit(x, np.ones(len(x)))
+
+
 class TestLayerBoundary:
     def test_only_fields_calls_numpy_fft(self):
         # one transform layer: the coefficient layout is known to fields.py alone
@@ -449,5 +487,18 @@ class TestLayerBoundary:
             p.name
             for p in sorted(src.glob("*.py"))
             if p.name != "fields.py" and pattern.search(p.read_text())
+        ]
+        assert not offenders
+
+    def test_no_module_calls_blas_or_lapack(self):
+        # every line fit is line_fit and every product an elementwise or
+        # einsum loop, so no figure depends on the BLAS kernels numpy loads
+        pattern = re.compile(r"polyfit|linalg|lstsq|np\.(?:dot|matmul|inner|tensordot|vdot)| @ ")
+        src = Path(gchlab.__file__).parent
+        offenders = [
+            f"{p.name}:{i}"
+            for p in sorted(src.glob("*.py"))
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if pattern.search(line)
         ]
         assert not offenders
