@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .config import KINDS, load_config
-from .errors import ConfigError, DivergedError, EstimationError
-from .experiments import run_experiment
+# No gchlab run calls BLAS, so numpy's OpenBLAS gets one thread and starts
+# no idle worker; this holds only if numpy is not imported yet, and a count
+# the user set is kept.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from .config import KINDS, load_config  # noqa: E402  (after the thread count)
+from .errors import ConfigError, DivergedError, EstimationError  # noqa: E402
+from .experiments import run_experiment  # noqa: E402
 
 
 def _seed(text: str) -> int:
@@ -34,18 +41,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.kind)
     except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return 2
+        return _usage_error(f"config file not found: {args.config}")
+    except OSError as exc:  # a directory, or a path under a file
+        return _usage_error(f"cannot read config file {args.config}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        return _usage_error(f"config file {args.config} is not UTF-8 text (byte {exc.start})")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
         code = run_experiment(args.kind, cfg, args.out, args.seed, args.threads)
+    except OSError as exc:
+        if os.path.isdir(args.out):  # the run got as far as its artifacts
+            raise
+        return _usage_error(f"cannot make output directory {args.out}: {exc.strerror}")
     except (ConfigError, DivergedError, EstimationError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

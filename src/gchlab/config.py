@@ -38,8 +38,9 @@ def sweep_amplitudes(raw: str) -> list[float]:
 
 
 def audit_ids(which: str) -> tuple[str, ...]:
-    """The audits a besov-audit [audits] which names: "all" or a list."""
-    return AUDIT_IDS if which == "all" else tuple(_tokens(which))
+    """The audits a besov-audit [audits] which names: "all" or a list, of
+    which each distinct id counts once, in first-seen order."""
+    return AUDIT_IDS if which == "all" else tuple(dict.fromkeys(_tokens(which)))
 
 
 def _finite_amplitudes(raw: str) -> bool:

@@ -34,9 +34,6 @@ from .errors import ConfigError, EstimationError
 # harmless; only genuine wrap-around should abort.
 POLLUTION_TOL = 1e-6
 
-# Truncation threshold for the periodized kernel sum in green_convolve.
-KERNEL_TERM_FLOOR = 1e-16
-
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -186,21 +183,11 @@ def apply_one_minus_dxx(u: RealField) -> RealField:
 def periodized_kernel(grid: Grid1D) -> np.ndarray:
     """Samples of G_per(x) = sum_n (1/2) e^{-|x + 2Ln|} at grid offsets.
 
-    Terms are added until they fall below KERNEL_TERM_FLOOR.
+    On an offset d in [0, 2L) the terms n >= 0 and n < 0 are two geometric
+    series, which sum to (e^{-d} + e^{d - 2L}) / (2 (1 - e^{-2L})).
     """
     d = grid.x + grid.L  # offsets 0 .. 2L-dx
-    total = np.zeros_like(d)
-    n = 0
-    while True:
-        t_pos = 0.5 * np.exp(-np.abs(d + 2.0 * grid.L * n))
-        t_neg = 0.5 * np.exp(-np.abs(d - 2.0 * grid.L * (n + 1)))
-        total += t_pos + t_neg
-        if t_pos.max() < KERNEL_TERM_FLOOR and t_neg.max() < KERNEL_TERM_FLOOR:
-            break
-        n += 1
-        if n > 64:
-            break
-    return total
+    return (np.exp(-d) + np.exp(d - 2.0 * grid.L)) / (-2.0 * np.expm1(-2.0 * grid.L))
 
 
 def green_convolve(f: RealField) -> RealField:

@@ -250,17 +250,6 @@ def _require_finite(quantity: str, *values: float) -> None:
         raise EstimationError(f"{quantity} is not finite; lower s or the data")
 
 
-def _least(ok, lo: float, hi: float, steps: int) -> float:
-    """Bisect [lo, hi] toward the least C with ok(C), given ok(hi)."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 @dataclass
 class AprioriReport:
     fitted_C: float
@@ -278,10 +267,11 @@ def transport_apriori_audit(
 
        ||f(t)||_{B^s} <= e^{CV(t)} ||f0||_{B^s}.
 
-    A-priori theory guarantees some finite C; the audit fits it by
-    bisection at nine evenly spaced times in [0, T] and checks it is stable
-    under halving dt.  The velocity norms, ||f0|| and V(t) are computed once;
-    each dt run solves and takes the nine frame norms.
+    A-priori theory guarantees some finite C; the audit fits the least one
+    in closed form, the largest log(||f(t)|| / ||f0||) / V(t) over nine
+    evenly spaced times in [0, T] (0 if no frame grows), and checks it is
+    stable under halving dt.  The velocity norms, ||f0|| and V(t) are
+    computed once; each dt run solves and takes the nine frame norms.
     """
     g = f0.grid
     out_times = np.linspace(0.0, T, 9)
@@ -292,8 +282,7 @@ def transport_apriori_audit(
         [[0.0], np.cumsum(0.5 * np.diff(out_times) * (vnorm[1:] + vnorm[:-1]))]
     )
     a0 = besov_norm(f0, s)
-    # an overflowed norm leaves no growth bound to fit, and an infinite V(T)
-    # would start the bracket below at C = 0, where doubling never ends
+    # an overflowed norm leaves no growth bound to fit
     _require_finite(f"V(T), the time integral of ||v||_B^{s + 2:g}", V[-1])
     _require_finite(f"||f0||_B^{s:g}", a0)
 
@@ -301,20 +290,12 @@ def transport_apriori_audit(
         sol = solve_transport(f0, velocity, dt_run, out_times)
         lhs = np.array([besov_norm(RealField(g, fr), s) for fr in sol.frames])
         _require_finite(f"a frame norm ||f(t)||_B^{s:g}", *lhs)
-
-        def ok(C: float) -> bool:
-            return bool(np.all(lhs <= np.exp(C * V) * a0 * (1.0 + 1e-12) + 1e-300))
-
-        C = 0.0
-        if not ok(C):
-            # start where e^{CV(T)} is e: from C = 1, e^{V(T)} overflows
-            # once V(T) passes about 709
-            hi = 1.0 / max(float(V[-1]), 1.0)
-            while not ok(hi):
-                hi *= 2.0
-                if hi > 1e8:
-                    raise EstimationError("no finite C satisfies the growth bound")
-            C = _least(ok, 0.0, hi, 60)
+        # where V = 0 no C lifts the bound; a frame may differ from f0 by roundoff
+        if np.any(lhs[V == 0.0] > a0 * (1.0 + 1e-12)):
+            raise EstimationError("no finite C satisfies the growth bound")
+        # each frame that grows holds with equality at C = log(lhs / a0) / V
+        grows = (lhs > a0) & (V > 0.0)
+        C = float(np.max(np.log(lhs[grows] / a0) / V[grows], initial=0.0))
         return lhs / np.maximum(np.exp(C * V) * a0, 1e-300), C
 
     ratios, C = fit(dt)
@@ -332,6 +313,19 @@ def picard_bound(m0_norm: float, C: float, T: float) -> float:
             f"smallness fails: 2 C^2 ||m0|| T = {q:.6g} >= 1; shrink T"
         )
     return C * m0_norm / (1.0 - q)
+
+
+def _ladder_constant(d: list[float], m0_norm: float, T: float) -> float:
+    """The least C with d_n <= C ||m0|| q^{n-1}, q = 2 C^2 ||m0|| T, for all n.
+
+    d_n <= ||m0||^n (2T)^{n-1} C^{2n-1} holds with equality at one C per
+    n, so the least C is the largest of them, taken in logs since ||m0||
+    may be huge; a zero d_n holds at any C >= 0.
+    """
+    lm = math.log(m0_norm)
+    lq = math.log(2.0) + lm + math.log(T)  # log(q / C^2)
+    log_C = max((math.log(x) - lm - i * lq) / (2 * i + 1) for i, x in enumerate(d) if x > 0.0)
+    return math.exp(log_C) if log_C < 709.0 else math.inf  # e^709.8 overflows
 
 
 # Picard's transport step: the step-doubling test
@@ -442,28 +436,12 @@ def picard_run(
         prev = cur
     ratios = [d[i + 1] / d[i] if d[i] > 0 else 0.0 for i in range(len(d) - 1)]
 
-    # smallest C whose geometric bound dominates the observed ladder
-    def dominated(C: float) -> bool:
-        q = 2.0 * C * C * m0_norm * T
-        if q >= 1.0:
-            return False
-        lead = C * m0_norm
-        return all(d[i] <= lead * q**i * (1.0 + 1e-9) + 1e-300 for i in range(len(d)))
-
-    if m0_norm == 0.0 or all(x == 0.0 for x in d):
-        fitted_C = 0.0
-        bound: float | None = 0.0
-        small_ok = True
-    else:
-        hi = math.sqrt(1.0 / (2.0 * m0_norm * T)) * (1.0 - 1e-9)
-        if dominated(hi):
-            fitted_C = _least(dominated, 0.0, hi, 80)
-            bound = picard_bound(m0_norm, fitted_C, T)
-            small_ok = True
-        else:
-            fitted_C = float("inf")
-            bound = None
-            small_ok = False
+    fitted_C, bound, small_ok = 0.0, 0.0, True
+    if m0_norm > 0.0 and any(d):
+        C = _ladder_constant(d, m0_norm, T)
+        small_ok = 2.0 * C * C * m0_norm * T < 1.0
+        fitted_C = C if small_ok else math.inf
+        bound = picard_bound(m0_norm, C, T) if small_ok else None
     return PicardReport(
         d, ratios, sups, fitted_C, bound, small_ok, prev.frames[-1], k, step_estimate
     )

@@ -415,6 +415,41 @@ class TestCli:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case", ["config dir", "config not utf-8", "out file", "out under file", "out too long"]
+    )
+    def test_file_errors_exit_2_in_one_line(self, tmp_path, capsys, case):
+        good = write(tmp_path, "ok.cfg", "[grid]\nn = 64\n")
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"n = 64\xff")
+        afile = write(tmp_path, "afile", "")
+        out = str(tmp_path / "o")
+        config_path, out = {
+            "config dir": (str(tmp_path / "cfgdir"), out),
+            "config not utf-8": (str(bad), out),
+            "out file": (good, afile),
+            "out under file": (good, os.path.join(afile, "o")),
+            "out too long": (good, str(tmp_path / ("o" * 300))),
+        }[case]
+        os.mkdir(tmp_path / "cfgdir")
+        rc = main(["besov-audit", "--config", config_path, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (out if case.startswith("out") else config_path) in err
+        assert "Traceback" not in err
+        assert not os.path.isdir(out)
+
+    def test_repeated_audit_id_is_reported_once(self, tmp_path, capsys):
+        text = SMALL["besov-audit"] + '[audits]\nwhich = "embedding,embedding"\n'
+        out = tmp_path / "o"
+        main(["besov-audit", "--config", write(tmp_path, "a.cfg", text), "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert [a["audit_id"] for a in report["audits"]] == ["embedding"]
+        rows = (out / "series.csv").read_text().splitlines()
+        assert len(rows) == 1 + 12  # the header, then one row per field
+        assert config.audit_ids("morse, embedding,morse") == ("morse", "embedding")
+
     def test_malformed_config(self, tmp_path, capsys):
         path = write(tmp_path, "bad.cfg", "[grid]\nn = twelve\n")
         rc = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
@@ -1066,6 +1101,52 @@ class TestStartup:
         if before is None:
             pytest.skip("numpy maps no library whose path names BLAS or LAPACK")
         assert after <= before
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_python(code, *args, **env):
+    """Run code in a fresh interpreter with none of THREAD_VARS set but env."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gchlab.__file__)))
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**base, "PYTHONPATH": src, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout
+
+
+class TestBlasThreads:
+    PROBE = "import os, gchlab.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+    @pytest.mark.parametrize(
+        "env,expect",
+        [
+            ({}, "1"),
+            ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
+            ({"GOTO_NUM_THREADS": "2"}, "None"),
+            ({"OMP_NUM_THREADS": "2"}, "None"),
+        ],
+    )
+    def test_cli_sets_one_thread_unless_the_user_chose(self, env, expect):
+        assert fresh_python(self.PROBE, **env).strip() == expect
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+    def test_cli_run_ends_with_one_thread(self, tmp_path):
+        code = (
+            "import os, sys\n"
+            "from gchlab.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, len(os.listdir('/proc/self/task')))\n"
+        )
+        path = write(tmp_path, "a.cfg", SMALL["besov-audit"])
+        out = str(tmp_path / "o")
+        last = fresh_python(code, "besov-audit", "--config", path, "--out", out).splitlines()[-1]
+        assert last == "0 1"
 
 
 class TestDeterminism:

@@ -181,6 +181,24 @@ class TestHelmholtz:
         # even about the left edge's mirror: kern(x) = kern(-x)
         assert np.max(np.abs(kern[1:] - kern[1:][::-1])) < 1e-15
 
+    @pytest.mark.parametrize(
+        "L,n", [(40.0, 256), (40.0, 4096), (3.14159, 512), (0.5, 64), (20.0, 1024)]
+    )
+    def test_kernel_matches_a_40_digit_evaluation(self, L, n):
+        # G_per(d) = cosh(L - d) / (2 sinh L) on [0, 2L), at the offsets the
+        # kernel samples; a series cut at 1e-16 reads 8.6e-16 at (0.5, 64)
+        mpmath = pytest.importorskip("mpmath")
+        g = Grid1D(L, n)
+        d = g.x + g.L
+        kern = periodized_kernel(g)
+        with mpmath.workdps(40):
+            half_sinh = 2 * mpmath.sinh(mpmath.mpf(L))
+            worst = max(
+                abs(mpmath.mpf(float(k)) / (mpmath.cosh(L - mpmath.mpf(float(x))) / half_sinh) - 1)
+                for x, k in zip(d, kern)
+            )
+        assert worst <= 4.5e-16
+
     def test_green_matches_spectral_inverse(self):
         g = Grid1D(40.0, 4096)
         rng = np.random.default_rng(23)

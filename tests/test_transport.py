@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gchlab import experiments, transport
 from gchlab.config import parse_config
@@ -379,6 +379,14 @@ class TestAprioriAudit:
         assert rep.passed
         assert rep.refinement_drift < 0.5
 
+    def test_fitted_c_binds_a_frame_exactly(self):
+        # the least C makes the bound an equality at its binding frame; a
+        # bisection with a 1e-12 slack left that frame's ratio at 1 + 1e-12
+        g = Grid1D(math.pi, 256)
+        rep = transport_apriori_audit(RealField(g, np.cos(g.x)), lambda t, x: np.sin(x), 1.0, 0.05)
+        assert rep.fitted_C > 0.0
+        assert abs(np.max(rep.ratios[1:]) - 1.0) <= 4 * np.finfo(float).eps
+
     def test_large_growth_integral_does_not_overflow(self):
         # at [audit] s = 1.5 V(T) is about 4.5e3: a bracket that starts at
         # C = 1 evaluates e^{V(T)}, which overflows with a RuntimeWarning
@@ -487,6 +495,22 @@ class TestPicard:
         frame = 8 * 1024
         assert self.picard_peak(33) - self.picard_peak(17) < 16 * 10 * frame
 
+    def test_fitted_c_is_the_least_that_dominates_the_ladder(self):
+        # a bisection with a 1e-9 slack stopped about 2e-10 below this C
+        g = Grid1D(20.0, 512)
+        m0 = RealField(g, 0.15 * np.exp(-(g.x**2) / 4.0))
+        T = 0.25
+        rep = picard_run(m0, T=T, n_iter=6)
+        m0_norm = rep.sup_norms[0]
+
+        def covered(C):
+            q = 2.0 * C * C * m0_norm * T
+            return all(x <= C * m0_norm * q**i for i, x in enumerate(rep.d))
+
+        assert rep.smallness_ok
+        assert covered(rep.fitted_C * (1.0 + 1e-12))
+        assert not covered(rep.fitted_C * (1.0 - 1e-12))
+
     def test_needs_two_iterations(self):
         g = Grid1D(20.0, 256)
         with pytest.raises(ConfigError):
@@ -498,6 +522,36 @@ class TestPicard:
         m0 = RealField(g, np.zeros(g.n))
         with pytest.raises(ConfigError, match="two time slices"):
             picard_run(m0, T=0.25, n_iter=4, n_slices=n_slices)
+
+
+def bisected_ladder_constant(d, m0_norm, T):
+    """The least C with d_n <= C ||m0|| q^{n-1}, q = 2 C^2 ||m0|| T, by 200
+    bisection steps on a doubled bracket: the closed form's oracle.  Each
+    inequality is compared in logs, so no power overflows."""
+
+    def covers(C):
+        lead, lq = math.log(C * m0_norm), math.log(2.0 * C * C * m0_norm * T)
+        return all(math.log(x) <= lead + i * lq for i, x in enumerate(d) if x > 0.0)
+
+    lo, hi = 0.0, 1.0
+    while not covers(hi):
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if covers(mid) else (mid, hi)
+    return hi
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    m0_norm=st.floats(1e-2, 1e2),
+    T=st.floats(1e-2, 1.0),
+    d=st.lists(st.one_of(st.just(0.0), st.floats(1e-10, 1e2)), min_size=2, max_size=12),
+)
+def test_ladder_constant_matches_a_bisection(m0_norm, T, d):
+    assume(any(d))
+    C = transport._ladder_constant(d, m0_norm, T)
+    assert C == pytest.approx(bisected_ladder_constant(d, m0_norm, T), rel=1e-12)
 
 
 def picard_default_datum():
