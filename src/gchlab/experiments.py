@@ -120,8 +120,9 @@ def _initial_field(dcfg: dict, grid: Grid1D) -> RealField:
     # band-limited noise is periodic, not decaying, so a Gaussian envelope
     # holds it: at width L/12 it is e^-72 at the box ends.  Picard also
     # screens u0 = (1-dx^2)^{-1} m0, whose boundary/max ratio stayed below
-    # 3.2e-7 over seeds 0-199999 at its defaults; width L/8 let u0 past the
-    # 1e-6 screen at 21 of seeds 0-19999, and L/6 at about half of them
+    # 3.1e-7 over seeds 0-199999 at its defaults (2.1e-7 over seeds 0-19999
+    # at n = 4096); width L/8 let u0 past the 1e-6 screen at 17 of seeds
+    # 0-19999, and L/6 at about half of them
     env = np.exp(-(grid.x**2) / (2.0 * (grid.L / 12.0) ** 2))
     return RealField(grid, dcfg["amplitude"] * env * f.values)
 

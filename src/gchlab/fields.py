@@ -319,9 +319,9 @@ def random_band_limited_values(
     decay: float = 2.0,
 ) -> np.ndarray:
     """A (count, n) stack of random real fields supported on
-    |k| <= frac * k_Nyquist, each scaled to max|f| = 1.
+    0 < |k| <= frac * k_Nyquist, below Nyquist, each scaled to max|f| = 1.
 
-    Coefficients get i.i.d. complex Gaussians shaped by (1+k^2)^{-decay/2};
+    Band coefficients get i.i.d. complex Gaussians shaped by (1+k^2)^{-decay/2};
     used for test corpora where products must stay alias-free.  `rng` is
     anything with `standard_normal(shape)`: a `SeededNormals` in the
     runners, a numpy Generator in tests.  Each row draws its real parts,
@@ -329,36 +329,16 @@ def random_band_limited_values(
     from the same generator, bit for bit.  The stack is one synthesis of
     a (count, n//2 + 1) half spectrum; only its band is filled.
     """
-    g = grid
-    kcut = frac * g.nyquist
-    half = g.n // 2
-    # the draw covers the +-k list in numpy's full-FFT order: the interior
-    # modes 0 < k <= kcut, then Nyquist if it is in the band, then their -k
-    # partners from the most negative up.  The half spectrum is the mean of
-    # each +k and the conjugate of its -k partner, so the real part of the
-    # full inverse transform is the inverse of the half spectrum; Nyquist
-    # stays 0.  grid.k and grid.h1 are |k| and 1 + k^2 on that list, bitwise
-    inner = int(np.count_nonzero(g.k[1:half] <= kcut))
-    width = 2 * inner + int(g.k[half] <= kcut)
-    z = rng.standard_normal((count, 2, width))
-    weight = g.h1[1 : inner + 1] ** (-decay / 2.0)
+    half = grid.n // 2
+    # the band is 0 < j <= frac * n/2, as k_j = j pi / L; n/2 is a power of
+    # two, so the product is exact.  Nyquist stays 0
+    inner = min(int(frac * half), half - 1)
+    z = rng.standard_normal((count, 2, inner))
     ch = np.zeros((count, half + 1), dtype=complex)
     band = ch[:, 1 : inner + 1]
-    band.real, band.imag = z[:, 0, :inner], z[:, 1, :inner]
-    band *= weight
-    partner = np.empty_like(band)
-    flipped = z[:, :, ::-1]  # each -k partner at its +k mode's place
-    partner.real, partner.imag = flipped[:, 0, :inner], flipped[:, 1, :inner]
-    # each stack is freed once read, so the draw's peak is its half
-    # spectrum and the synthesis output
-    del z, flipped
-    partner *= weight
-    band += np.conj(partner, out=partner)
-    band *= 0.5
-    del partner
+    band.real, band.imag = z[:, 0], z[:, 1]
+    del z  # so the draw's peak is its half spectrum and the synthesis output
+    band *= grid.h1[1 : inner + 1] ** (-decay / 2.0)
     vals = synthesize(ch)
-    m = lp_norms(g, vals, np.inf)[:, None]
-    # times the reciprocal, not / m: the two round differently, and
-    # seeded corpora keep their bits; an all-zero row stays zero
-    vals *= np.divide(1.0, m, out=np.ones_like(m), where=m > 0)
-    return vals
+    m = lp_norms(grid, vals, np.inf)[:, None]
+    return np.divide(vals, m, out=vals, where=m > 0)  # a zero row stays zero

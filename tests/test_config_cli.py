@@ -450,6 +450,15 @@ class TestCli:
         assert len(rows) == 1 + 12  # the header, then one row per field
         assert config.audit_ids("morse, embedding,morse") == ("morse", "embedding")
 
+    def test_lowest_corpus_frac_draws_nonzero_fields(self, tmp_path, capsys):
+        # at L = 1.07, k_1 rounds above (2/n) * k_Nyquist; the band must
+        # still hold its one mode, or every field is zero and the audit fails
+        text = "[grid]\nL = 1.07\nn = 64\n[corpus]\ncount = 3\nfrac = 0.03125\n"
+        out = tmp_path / "o"
+        rc = main(["besov-audit", "--config", write(tmp_path, "a.cfg", text), "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["passed"] is True
+
     def test_malformed_config(self, tmp_path, capsys):
         path = write(tmp_path, "bad.cfg", "[grid]\nn = twelve\n")
         rc = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
@@ -942,8 +951,8 @@ class TestRunContract:
             picard_run(m0, 0.25, s=400.0)
 
     def test_overflowing_audit_norm_fails_in_time(self):
-        # at s = 70 on transport-test's grid and data V(T) overflows; a
-        # bracket that started at 1/V(T) = 0 doubled it forever
+        # at s = 70 on transport-test's grid and data V(T) overflows, so the
+        # fit must raise before any exp(C V), within the timeout
         src = os.path.dirname(os.path.dirname(os.path.abspath(gchlab.__file__)))
         proc = subprocess.run(
             [sys.executable, "-c", AUDIT_PROBE],

@@ -340,57 +340,85 @@ class TestRandomCorpus:
 
 
 def draw_one(grid, rng, frac, decay):
-    """One field drawn the way a per-field loop drew a corpus: the
-    reference the stacked draw must reproduce bit for bit."""
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
-    ch = np.zeros(grid.n, dtype=complex)
-    mask = (np.abs(k) <= frac * grid.nyquist) & (k != 0.0)
-    nm = int(mask.sum())
-    ch[mask] = rng.standard_normal(nm) + 1j * rng.standard_normal(nm)
-    ch *= (1.0 + k**2) ** (-decay / 2.0)
+    """One field drawn mode by mode, the way a per-field loop drew a
+    corpus: the reference the stacked draw must reproduce bit for bit."""
     half = grid.n // 2
-    folded = 0.5 * (ch[: half + 1] + np.conj(ch[-np.arange(half + 1)]))
-    folded[half] = 0.0
-    vals = np.fft.irfft(folded)
+    band = [j for j in range(1, half) if j <= frac * half]
+    re, im = rng.standard_normal(len(band)), rng.standard_normal(len(band))
+    # an array power: a scalar np.float64 ** x may round apart from it
+    weight = (1.0 + grid.k[band] ** 2) ** (-decay / 2.0)
+    ch = np.zeros(half + 1, dtype=complex)
+    for j, a, b, w in zip(band, re, im, weight):
+        ch[j] = complex(a * w, b * w)
+    vals = np.fft.irfft(ch)
     m = np.max(np.abs(vals))
-    if m > 0:
-        vals *= 1.0 / m
-    return vals
+    return vals / m if m > 0 else vals
 
 
-def draw_full_fold(grid, rng, count, frac, decay):
-    """A stack drawn on the full +-k frequency list and folded through a
-    conjugate copy of its -k half: the reference the half-spectrum draw
-    must reproduce bit for bit."""
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
-    ch = np.zeros((count, grid.n), dtype=complex)
-    mask = (np.abs(k) <= frac * grid.nyquist) & (k != 0.0)
-    z = rng.standard_normal((count, 2, int(mask.sum())))
-    ch.real[:, mask] = z[:, 0]
-    ch.imag[:, mask] = z[:, 1]
-    ch *= (1.0 + k**2) ** (-decay / 2.0)
-    half = grid.n // 2
-    folded = 0.5 * (ch[:, : half + 1] + np.conj(ch[:, -np.arange(half + 1)]))
-    folded[:, half] = 0.0
-    vals = np.fft.irfft(folded)
-    m = lp_norms(grid, vals, np.inf)[:, None]
-    vals *= np.divide(1.0, m, out=np.ones_like(m), where=m > 0)
-    return vals
+class RecordingNormals:
+    """A generator stub that records the shape of every request."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        return self.rng.standard_normal(shape)
 
 
 class TestStackedDraw:
-    # (16, 2, 1, 2) puts Nyquist inside the band: its normals are drawn and
-    # then dropped
+    # one complex normal per band mode 0 < j <= frac * n/2; at frac = 1
+    # Nyquist is outside the band and draws nothing
+    @pytest.mark.parametrize(
+        "n, frac, inner",
+        [(16, 1.0, 7), (64, 2.0 / 64, 1), (512, 1.0 / 3.0, 85), (1024, 0.5, 256),
+         (4096, 0.33, 675)],
+    )
+    def test_draws_one_normal_pair_per_band_mode(self, n, frac, inner):
+        g = grid40(n)
+        rng = RecordingNormals(4)
+        stack = random_band_limited_values(g, rng, 3, frac, 2.0)
+        assert rng.shapes == [(3, 2, inner)]
+        ch = spectrum(stack)
+        assert np.max(np.abs(ch[:, [0, n // 2]])) < 1e-13 * n
+        assert np.all(np.abs(ch[:, inner]) > 1e-6)
+        assert np.max(np.abs(ch[:, inner + 1 :])) < 1e-13 * n
+
+    # the band counts j <= frac * n/2 exactly, so at frac = 2/n it holds
+    # the one mode j = 1 at every L, although k_1 may round above
+    # (2/n) * k_Nyquist
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_lowest_frac_fills_its_mode_at_every_L(self, n):
+        for L in np.arange(100, 4001) / 100.0:
+            g = Grid1D(L, n)
+            stack = random_band_limited_values(g, SeededNormals(0), 3, 2.0 / n)
+            assert np.all(lp_norms(g, stack, np.inf) == 1.0), L
+
+    # the law of the draw: after the weights come off, every band mode
+    # carries an equal share of its row's band power in expectation, split
+    # evenly between real and imaginary parts; each mean is checked to 5
+    # standard errors at every band mode
     @pytest.mark.parametrize(
         "n, count, frac, decay",
         [(512, 100, 0.33, 2.0), (64, 7, 1.0, 1.0), (1024, 3, 0.5, 3.0), (16, 2, 1.0, 2.0)],
     )
-    def test_matches_full_spectrum_fold(self, n, count, frac, decay):
+    def test_band_modes_share_power_equally(self, n, count, frac, decay):
         g = grid40(n)
-        for make in (np.random.default_rng, SeededNormals):
-            stack = random_band_limited_values(g, make(17), count, frac, decay)
-            ref = draw_full_fold(g, make(17), count, frac, decay)
-            assert stack.tobytes() == ref.tobytes()
+        rows = 4000
+        rng = SeededNormals(2024)
+        stack = np.concatenate(
+            [random_band_limited_values(g, rng, count, frac, decay)
+             for _ in range(-(-rows // count))]
+        )[:rows]
+        inner = min(int(frac * (n // 2)), n // 2 - 1)
+        c = spectrum(stack)[:, 1 : inner + 1] / g.h1[1 : inner + 1] ** (-decay / 2.0)
+        power = np.sum(np.abs(c) ** 2, axis=1, keepdims=True)
+        share = np.abs(c) ** 2 / power
+        split = (c.real**2 - c.imag**2) / power
+        for x, mean in ((share, 1.0 / inner), (split, 0.0)):
+            se = np.std(x, axis=0) / np.sqrt(rows)
+            assert np.all(np.abs(np.mean(x, axis=0) - mean) < 5.0 * se)
 
     @pytest.mark.parametrize("n", [64, 512, 4096])
     @pytest.mark.parametrize("count", [1, 3, 100])

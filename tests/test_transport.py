@@ -380,16 +380,16 @@ class TestAprioriAudit:
         assert rep.refinement_drift < 0.5
 
     def test_fitted_c_binds_a_frame_exactly(self):
-        # the least C makes the bound an equality at its binding frame; a
-        # bisection with a 1e-12 slack left that frame's ratio at 1 + 1e-12
+        # the least C makes the bound an equality at its binding frame, so
+        # that frame's ratio is 1 up to rounding
         g = Grid1D(math.pi, 256)
         rep = transport_apriori_audit(RealField(g, np.cos(g.x)), lambda t, x: np.sin(x), 1.0, 0.05)
         assert rep.fitted_C > 0.0
         assert abs(np.max(rep.ratios[1:]) - 1.0) <= 4 * np.finfo(float).eps
 
     def test_large_growth_integral_does_not_overflow(self):
-        # at [audit] s = 1.5 V(T) is about 4.5e3: a bracket that starts at
-        # C = 1 evaluates e^{V(T)}, which overflows with a RuntimeWarning
+        # at [audit] s = 1.5 V(T) is about 4.5e3, so e^{V(T)} overflows; the
+        # fit must evaluate exp(C V) only at its small fitted C, with no warning
         cfg = parse_config("", "transport-test")
         cfg["audit"]["s"] = 1.5
         cfg["audit"]["seed"] = 5
@@ -417,8 +417,9 @@ class TestAprioriAudit:
         assert len(calls) == 28
 
     @pytest.mark.parametrize("field", ["velocity", "datum"])
-    def test_nonfinite_norm_fails_before_the_bracket(self, field):
-        # V(T) = inf would start the bracket at C = 0, where doubling never ends
+    def test_nonfinite_norm_fails_before_the_fit(self, field):
+        # V(T) = inf or ||f0|| = nan gives no C, so the audit must raise
+        # before it fits one
         g = Grid1D(math.pi, 64)
         f0, vel = RealField(g, np.sin(g.x)), uniform(1.0)
         if field == "velocity":
