@@ -197,7 +197,6 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
                 <= math.ldexp(MAX_NODES, -2 * (v - 1)),
                 f">= 2 with nx0 * nt0 * 4^(levels - 1) <= {MAX_NODES} (nodes on the finest rung)",
             ),
-            "crest_split": ("bool", True),
             "p0": ("float", 1.0),
             "p1": ("float", 0.5),
             "p2": ("float", -0.25),

@@ -182,9 +182,8 @@ def refined_min(grid: Grid1D, vals: np.ndarray) -> tuple[float, float]:
         return float(y0), float(grid.x[i])
     val = y0 - 0.125 * (ym - yp) ** 2 / denom
     loc = grid.x[i] + shift * grid.dx
-    if loc >= grid.L:
-        loc -= 2.0 * grid.L
-    elif loc < -grid.L:
+    # x[i] <= L - dx and |shift| <= 1/2 keep loc below L; only the left seam wraps
+    if loc < -grid.L:
         loc += 2.0 * grid.L
     return float(val), float(loc)
 

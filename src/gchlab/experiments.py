@@ -195,7 +195,6 @@ def run_peakon_verify(cfg: dict, grid: Grid1D) -> Outcome:
         levels=rs["levels"],
         nx0=rs["nx0"],
         nt0=rs["nt0"],
-        crest_split=rs["crest_split"],
     )
     residuals = [float(r) for r in study.residuals]
     chart = LineChart("computed vs exact translate", "x", "u")
@@ -250,6 +249,7 @@ def _blowup_single(cfg: dict, grid: Grid1D, amplitude: float):
         "T_est": None,
         "window_mean": None,
         "B_growth_factor": None,
+        "companion_vanishes": None,
     }
     window = cfg["estimate"]["window"]
     try:

@@ -38,30 +38,8 @@ BUMP_EDGE_TOL = 1e-12
 BLOCK_NODES = 8192
 
 
-def _check_speed(c: float):
-    if c <= 0.0:
-        raise ConfigError(f"wave speed c must be positive, got {c}")
-
-
-def peakon_u(x: np.ndarray, t: float, c: float, L: float) -> np.ndarray:
-    _check_speed(c)
-    xi = wrap(np.asarray(x, dtype=float) - c * t, L)
-    ahead = xi >= 0.0
-    out = np.empty_like(xi)
-    out[ahead] = -(c / 6.0) * np.exp(-xi[ahead])
-    e = np.exp(xi[~ahead])
-    out[~ahead] = e * (-(c / 2.0) + (c / 3.0) * e)
-    return out
-
-
-def peakon_w(x: np.ndarray, t: float, c: float, L: float) -> np.ndarray:
-    _check_speed(c)
-    xi = wrap(np.asarray(x, dtype=float) - c * t, L)
-    return -(c / 2.0) * np.exp(-np.abs(xi))
-
-
 def peakon_field(grid: Grid1D, t: float, c: float) -> RealField:
-    return RealField(grid, peakon_u(grid.x, t, c, grid.L))
+    return RealField(grid, PeakonSolution(c, grid.L).u(t, grid.x))
 
 
 def peakon_energy(c: float) -> float:
@@ -70,18 +48,30 @@ def peakon_energy(c: float) -> float:
 
 
 class PeakonSolution:
-    """Exact-solution provider for the weak residual quadrature."""
+    """The wave of speed c on the periodic box [-L, L), and the exact-solution
+    provider of the weak residual quadrature: u, w and the crest, at a time
+    or a column of times against a row of nodes or one row per time."""
 
     def __init__(self, c: float, L: float):
-        _check_speed(c)
+        if c <= 0.0:
+            raise ConfigError(f"wave speed c must be positive, got {c}")
         self.c = c
         self.L = L
 
+    def _xi(self, t, x) -> np.ndarray:
+        return wrap(np.asarray(x, dtype=float) - self.c * t, self.L)
+
     def u(self, t, x: np.ndarray) -> np.ndarray:
-        return peakon_u(x, t, self.c, self.L)
+        c, xi = self.c, self._xi(t, x)
+        ahead = xi >= 0.0
+        out = np.empty_like(xi)
+        out[ahead] = -(c / 6.0) * np.exp(-xi[ahead])
+        e = np.exp(xi[~ahead])
+        out[~ahead] = e * (-(c / 2.0) + (c / 3.0) * e)
+        return out
 
     def w(self, t, x: np.ndarray) -> np.ndarray:
-        return peakon_w(x, t, self.c, self.L)
+        return -(self.c / 2.0) * np.exp(-np.abs(self._xi(t, x)))
 
     def crest(self, ts) -> np.ndarray:
         return wrap(self.c * np.asarray(ts, dtype=float), self.L)
@@ -142,8 +132,8 @@ class TestFunction:
 
 def _line_integrals(provider, phi: TestFunction, t: np.ndarray, xs: np.ndarray):
     """Trapezoid integrals along x, on the time lines t (a column), of the
-    weak-form integrand and of u (phi - phi_xx); xs is one row of nodes
-    shared by every line or one row per line."""
+    weak-form integrand and of u (phi - phi_xx); xs holds one row of nodes
+    per line."""
     bv, b1, b2 = phi.bump(xs)
     P, Pt = phi.time_factor(t)
     w = provider.w(t, xs)
@@ -153,29 +143,23 @@ def _line_integrals(provider, phi: TestFunction, t: np.ndarray, xs: np.ndarray):
     return body, P[:, 0] * np.trapezoid(ub, xs, axis=-1)
 
 
-def weak_residual(
-    provider,
-    phi: TestFunction,
-    T: float,
-    nx: int = 64,
-    nt: int = 64,
-    crest_split: bool = False,
-) -> float:
+def weak_residual(provider, phi: TestFunction, T: float, nx: int = 64, nt: int = 64) -> float:
     """Absolute defect of the weak identity under trapezoid quadrature.
 
-    The provider's u(t, x) and w(t, x) take a column of times against a row
-    of nodes or a block of them, one row per time; crest(ts) returns the
-    crest position at each time, or None for a solution with no crest.
-    The time lines are evaluated in blocks of about BLOCK_NODES nodes.  With
-    crest_split, a line whose crest lies inside the support gets it as one
-    extra node; the endpoint terms are read off the first and last lines.
+    The provider states its box half-width L; its u(t, x) and w(t, x) take
+    a column of times against a block of nodes, one row per time, and
+    crest(ts) returns the crest position at each time.  Each time line gets
+    the nx + 1 even nodes of the support and its crest as one more sorted
+    node, clipped to the support, so a crest outside adds a zero-width cell
+    at the nearer edge.  The lines are evaluated in blocks of about
+    BLOCK_NODES nodes; the endpoint terms are read off the first and last.
     """
     if T <= 0:
         raise ConfigError(f"horizon must be positive, got T={T}")
     if nx < 4 or nt < 4:
         raise ConfigError("need at least 4 quadrature cells per direction")
     a, b = phi.support
-    if hasattr(provider, "L") and (a < -provider.L or b > provider.L):
+    if a < -provider.L or b > provider.L:
         raise ConfigError("test function support leaves the domain")
     ts = np.linspace(0.0, T, nt + 1)
     xs = np.linspace(a, b, nx + 1)
@@ -185,22 +169,12 @@ def weak_residual(
     for i in range(0, nt + 1, rows):
         block = slice(i, i + rows)
         t = ts[block, None]
-        crest = provider.crest(t[:, 0]) if crest_split else None
-        split = np.zeros(len(t), bool) if crest is None else (a < crest) & (crest < b)
-        if not split.all():
-            keep = ~split
-            lines[block][keep], ends[block][keep] = _line_integrals(
-                provider, phi, t[keep], xs
-            )
-        if split.any():
-            # C order, so each row's trapezoid sums as a lone line's would
-            nodes = np.empty((int(split.sum()), nx + 2))
-            nodes[:, :-1] = xs
-            nodes[:, -1] = crest[split]
-            nodes.sort(axis=1)
-            lines[block][split], ends[block][split] = _line_integrals(
-                provider, phi, t[split], nodes
-            )
+        # C order, so each row's trapezoid sums as a lone line's would
+        nodes = np.empty((len(t), nx + 2))
+        nodes[:, :-1] = xs
+        nodes[:, -1] = np.clip(provider.crest(t[:, 0]), a, b)
+        nodes.sort(axis=1)
+        lines[block], ends[block] = _line_integrals(provider, phi, t, nodes)
     lhs = float(np.trapezoid(lines, ts))
     return abs(lhs - float(ends[nt] - ends[0]))
 
@@ -219,7 +193,6 @@ def refinement_study(
     levels: int = 4,
     nx0: int = 32,
     nt0: int = 32,
-    crest_split: bool = False,
 ) -> RefinementStudy:
     """Doubling ladder for the weak residual; order from a log-log fit."""
     if levels < 2:
@@ -228,7 +201,7 @@ def refinement_study(
     for lev in range(levels):
         f = 2**lev
         ns.append(nx0 * f)
-        res.append(weak_residual(provider, phi, T, nx0 * f, nt0 * f, crest_split))
+        res.append(weak_residual(provider, phi, T, nx0 * f, nt0 * f))
     y = np.log2(np.maximum(res, 1e-300))
     lv = np.arange(levels, dtype=float)
     slope = line_fit(lv, y)[0]

@@ -351,7 +351,6 @@ def test_c11_weak_identity(capsys):
         PeakonSolution(1.0, 40.0),
         TestFunction(0.5, 1.5, poly=(1.0, 0.5, -0.25, 0.0)),
         T=1.0,
-        crest_split=True,
     )
     ok = study.fitted_order >= 1.5 and study.residuals[-1] <= 1e-4
     verdict(

@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -223,13 +224,41 @@ def _key_table(kind: str) -> str:
     return "\n".join(rows) + "\n"
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_readme_key_table_matches_the_schema(kind):
+def _readme() -> str:
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        text = fh.read()
+        return fh.read()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_readme_key_table_matches_the_schema(kind):
     table = _key_table(kind)
-    assert table in text, f"README.md needs this table:\n{table}"
+    assert table in _readme(), f"README.md needs this table:\n{table}"
+
+
+def _removed_keys():
+    """README's rows of the keys and sections that earlier versions read:
+    (`[sec] key` or `[sec]`, the kind or "every kind")."""
+    text = _readme()
+    head = "| key or section | kind |\n|---|---|\n"
+    rows = text[text.index(head) + len(head) :].split("\n\n")[0].splitlines()
+    for row in rows:
+        item, kind = (cell.strip().strip("`") for cell in row.strip("|").split("|"))
+        tag = item.replace("] ", ".").strip("[]")
+        yield pytest.param(item, kind, id=f"{kind.replace(' ', '-')}-{tag}")
+
+
+@pytest.mark.parametrize("item, kind", _removed_keys())
+def test_readme_removed_keys_fail_to_load(item, kind):
+    sec, _, key = item.partition(" ")
+    text, named = (
+        (f"{sec}\n{key} = 1\n", f"unknown key '{key}' in {sec}")
+        if key
+        else (f"{sec}\n", f"unknown section {sec}")
+    )
+    for k in KINDS if kind == "every kind" else (kind,):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            parse_config(text, k)
 
 
 class TestGrammarProperties:
@@ -658,13 +687,15 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
-    # the pass bars are fixed in the runners
+    # the pass bars are fixed in the runners, and every time line of the
+    # weak residual gets its crest as a node
     @pytest.mark.parametrize(
         "kind, sec, key",
         [
             ("peakon-verify", "run", "rel_tol"),
             ("peakon-verify", "residual", "tol"),
             ("peakon-verify", "residual", "order_min"),
+            ("peakon-verify", "residual", "crest_split"),
             ("picard", "check", "ratio_max"),
             ("picard", "check", "ratio_from"),
             ("picard", "check", "direct_tol"),
@@ -809,6 +840,18 @@ class TestCli:
         rep = json.loads(open(os.path.join(out, "report.json")).read())
         assert rep["study"]["verdict"] is False
         assert rep["study"]["stop_reason"] == "horizon"
+
+    def test_blowup_records_carry_one_key_set(self, tmp_path):
+        # the default study breaks down and is estimated; a zero-amplitude
+        # member never does, so its estimate and its shape fail
+        path = write(tmp_path, "b.cfg", '[sweep]\namplitudes = "0.0"\n')
+        out = str(tmp_path / "o")
+        assert main(["blowup-study", "--config", path, "--out", out]) == 0
+        rep = json.loads(open(os.path.join(out, "report.json")).read())
+        done, failed = rep["study"], rep["sweep"][0]
+        assert "estimate_error" not in done and "estimate_error" in failed
+        assert set(failed) - {"estimate_error", "shape_error"} == set(done)
+        assert failed["companion_vanishes"] is None
 
 
 # one small, passing config per experiment kind

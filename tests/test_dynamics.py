@@ -374,6 +374,18 @@ class TestMonitors:
         period = 2 * math.pi / k0
         assert min(abs(loc - (m * period + shift)) for m in range(-4, 5)) < 1e-3
 
+    def test_min_left_of_the_seam_wraps_to_the_right_end(self):
+        # the minimum sits 0.3 dx left of x[0] = -L: node 0 is the lowest, and
+        # the refined vertex left of it wraps to L - 0.3 dx
+        g = Grid1D(40.0, 512)
+        x_min = -g.L - 0.3 * g.dx
+        vals = -np.cos(math.pi * (g.x - x_min) / g.L)
+        assert int(np.argmin(vals)) == 0
+        val, loc = refined_min(g, vals)
+        assert g.L - 0.5 * g.dx <= loc < g.L
+        assert loc == pytest.approx(g.L - 0.3 * g.dx, abs=1e-3 * g.dx)
+        assert val == pytest.approx(-1.0, abs=1e-6)
+
     def test_tail_fraction_detects_band_edge_mass(self):
         g = Grid1D(40.0, 512)
         low = random_band_limited(g, np.random.default_rng(3), frac=0.2)

@@ -15,8 +15,6 @@ from gchlab.peakon import (
     TestFunction,
     peakon_energy,
     peakon_field,
-    peakon_u,
-    peakon_w,
     refinement_study,
     weak_residual,
 )
@@ -25,26 +23,28 @@ L = 40.0
 
 
 class ZeroProvider:
+    L = 40.0
+
     def u(self, t, x):
         return np.zeros_like(x)
 
     def w(self, t, x):
         return np.zeros_like(x)
 
-    def crest(self, t):
-        return None
+    def crest(self, ts):
+        return np.zeros_like(ts, dtype=float)
 
 
-def line_loop_residual(provider, phi, T, nx, nt, crest_split):
-    """Reference: the weak residual one time line at a time."""
+def line_loop_residual(provider, phi, T, nx, nt, split=True):
+    """Reference: the weak residual one time line at a time; with split,
+    each line gets its crest, clipped to the support, as one more node."""
     a, b = phi.support
     ts = np.linspace(0.0, T, nt + 1)
     lines, ends = np.empty(nt + 1), []
     for i, t in enumerate(ts):
         xs = np.linspace(a, b, nx + 1)
-        crest = provider.crest(t) if crest_split else None
-        if crest is not None and a < crest < b:
-            xs = np.sort(np.append(xs, crest))
+        if split:
+            xs = np.sort(np.append(xs, np.clip(provider.crest(t), a, b)))
         bv, b1, b2 = phi.bump(xs)
         P, Pt = phi.time_factor(t)
         w = provider.w(t, xs)
@@ -58,61 +58,62 @@ def line_loop_residual(provider, phi, T, nx, nt, crest_split):
 class TestWaveProfile:
     def test_crest_value_and_one_sided_slopes(self):
         c = 1.3
-        u0 = peakon_u(np.array([0.0]), 0.0, c, L)[0]
+        u = PeakonSolution(c, L).u
+        u0 = u(0.0, np.array([0.0]))[0]
         assert u0 == pytest.approx(-c / 6.0, rel=1e-14)
         h = 1e-7
-        right = (peakon_u(np.array([h]), 0.0, c, L)[0] - u0) / h
-        left = (u0 - peakon_u(np.array([-h]), 0.0, c, L)[0]) / h
+        right = (u(0.0, np.array([h]))[0] - u0) / h
+        left = (u0 - u(0.0, np.array([-h]))[0]) / h
         assert right == pytest.approx(c / 6.0, abs=1e-6)
         assert left == pytest.approx(c / 6.0, abs=1e-6)
 
     def test_trough_sits_behind_the_crest(self):
         c = 2.0
+        u = PeakonSolution(c, L).u
         xi_star = math.log(0.75)
-        u_star = peakon_u(np.array([xi_star]), 0.0, c, L)[0]
+        u_star = u(0.0, np.array([xi_star]))[0]
         assert u_star == pytest.approx(-3.0 * c / 16.0, rel=1e-14)
         xs = np.linspace(-10.0, 10.0, 20001)
-        vals = peakon_u(xs, 0.0, c, L)
+        vals = u(0.0, xs)
         assert np.min(vals) >= u_star - 1e-12
         assert u_star < -c / 6.0
 
     def test_w_is_two_u_minus_slope(self):
-        c = 0.7
+        wave = PeakonSolution(0.7, L)
         h = 1e-5
         xs = np.linspace(-8.0, 8.0, 37)
         xs = xs[np.abs(xs) > 0.1]  # keep the FD stencil off the kink
-        ux = (peakon_u(xs + h, 0.0, c, L) - peakon_u(xs - h, 0.0, c, L)) / (2 * h)
-        w_fd = 2.0 * peakon_u(xs, 0.0, c, L) - ux
-        assert np.max(np.abs(w_fd - peakon_w(xs, 0.0, c, L))) < 1e-9
+        ux = (wave.u(0.0, xs + h) - wave.u(0.0, xs - h)) / (2 * h)
+        w_fd = 2.0 * wave.u(0.0, xs) - ux
+        assert np.max(np.abs(w_fd - wave.w(0.0, xs))) < 1e-9
 
     def test_momentum_is_curvature_defect(self):
         c = 0.9
+        u = PeakonSolution(c, L).u
         h = 1e-4
         xs = np.linspace(-6.0, -0.5, 23)
-        up = peakon_u(xs + h, 0.0, c, L)
-        u0 = peakon_u(xs, 0.0, c, L)
-        um = peakon_u(xs - h, 0.0, c, L)
+        up = u(0.0, xs + h)
+        u0 = u(0.0, xs)
+        um = u(0.0, xs - h)
         m_fd = u0 - (up - 2 * u0 + um) / h**2
         # behind the crest m = u - u_xx is -c e^{2 xi} (module docstring)
         assert np.max(np.abs(m_fd + c * np.exp(2.0 * xs))) < 1e-6
 
     def test_translation_covariance(self):
         c, t = 1.4, 31.0  # c*t wraps around the box
+        u = PeakonSolution(c, L).u
         xs = np.linspace(-L, L, 413, endpoint=False)
-        a = peakon_u(xs, t, c, L)
-        b = peakon_u(xs - c * t, 0.0, c, L)
+        a = u(t, xs)
+        b = u(0.0, xs - c * t)
         assert np.max(np.abs(a - b)) < 1e-14
 
     def test_speed_guards(self):
-        xs = np.zeros(3)
         with pytest.raises(ConfigError):
-            peakon_u(xs, 0.0, 0.0, L)
-        with pytest.raises(ConfigError):
-            peakon_u(xs, 0.0, -1.0, L)
-        with pytest.raises(ConfigError):
-            peakon_field(Grid1D(L, 64), 0.0, -2.0)
+            PeakonSolution(0.0, L)
         with pytest.raises(ConfigError):
             PeakonSolution(-1.0, L)
+        with pytest.raises(ConfigError):
+            peakon_field(Grid1D(L, 64), 0.0, -2.0)
 
     def test_energy_scaling(self):
         assert peakon_energy(1.0) == pytest.approx(1.0 / 12.0)
@@ -177,7 +178,7 @@ class TestWeakResidual:
     def test_exact_wave_residual_small_and_refining(self):
         sol = PeakonSolution(1.0, L)
         phi = TestFunction(0.5, 1.5, poly=(1.0, 0.5, -0.25, 0.0))
-        study = refinement_study(sol, phi, T=1.0, crest_split=True)
+        study = refinement_study(sol, phi, T=1.0)
         assert study.fitted_order >= 1.5
         assert study.residuals[-1] <= 1e-4
         assert study.residuals[-1] < study.residuals[0]
@@ -185,9 +186,18 @@ class TestWeakResidual:
     def test_crest_split_helps(self):
         sol = PeakonSolution(1.0, L)
         phi = TestFunction(0.5, 1.5)
-        plain = weak_residual(sol, phi, T=1.0, nx=64, nt=64, crest_split=False)
-        split = weak_residual(sol, phi, T=1.0, nx=64, nt=64, crest_split=True)
+        plain = line_loop_residual(sol, phi, 1.0, 64, 64, split=False)
+        split = weak_residual(sol, phi, T=1.0, nx=64, nt=64)
         assert split <= plain * 1.5  # never much worse, usually better
+
+    def test_crest_outside_adds_a_zero_width_cell(self):
+        # the crest ct in [0, 1] never enters [4, 6]: clipped to the edge 4,
+        # it adds a cell of width 0, so only the summation order moves
+        sol = PeakonSolution(1.0, L)
+        phi = TestFunction(5.0, 1.0, poly=(1.0, 0.5, -0.25, 0.125))
+        for nx, nt in ((32, 32), (64, 200)):
+            plain = line_loop_residual(sol, phi, 1.0, nx, nt, split=False)
+            assert weak_residual(sol, phi, 1.0, nx, nt) == pytest.approx(plain, abs=1e-17)
 
     @pytest.mark.parametrize("block_nodes", [peakon.BLOCK_NODES, 300])
     @pytest.mark.parametrize(
@@ -196,20 +206,17 @@ class TestWeakResidual:
             (PeakonSolution(1.0, L), 0.5, 1.5, 1.0),  # crest inside throughout
             (PeakonSolution(1.0, L), 0.5, 1.5, 3.0),  # crest leaves at t = 2
             (PeakonSolution(1.3, 4.0), -2.5, 1.0, 6.0),  # crest wraps in at t = 4.5/1.3
-            (ZeroProvider(), 0.0, 2.0, 1.0),  # no crest: never split
+            (ZeroProvider(), 0.0, 2.0, 1.0),  # zero wave, crest at the center
         ],
     )
-    @pytest.mark.parametrize("crest_split", [False, True])
-    def test_blocks_match_the_line_loop(
-        self, monkeypatch, block_nodes, provider, x0, sigma, T, crest_split
-    ):
+    def test_blocks_match_the_line_loop(self, monkeypatch, block_nodes, provider, x0, sigma, T):
         monkeypatch.setattr(peakon, "BLOCK_NODES", block_nodes)
         phi = TestFunction(x0, sigma, poly=(1.0, 0.5, -0.25, 0.125))
         # 201 lines do not fill a whole number of blocks at either size
         for nx, nt in ((32, 32), (64, 200), (256, 44)):
-            ref = line_loop_residual(provider, phi, T, nx, nt, crest_split)
-            got = weak_residual(provider, phi, T, nx, nt, crest_split)
-            assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
+            ref = line_loop_residual(provider, phi, T, nx, nt)
+            got = weak_residual(provider, phi, T, nx, nt)
+            assert got == ref
 
     def test_refinement_memory_is_bounded(self):
         # unblocked, the finest rung's (257, 258) temporaries peak near 6 MB
@@ -224,7 +231,6 @@ class TestWeakResidual:
                 levels=rs["levels"],
                 nx0=rs["nx0"],
                 nt0=rs["nt0"],
-                crest_split=rs["crest_split"],
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
